@@ -427,14 +427,19 @@ def test_kernel_table_scoring():
 
 
 def test_map_build_pruning():
-    """AutoGrid cold map build: cell-list tables vs the full sweep.
+    """AutoGrid cold map build: both pruned kernels vs the full sweep.
 
     The per-receptor setup cost the campaign amortizes over 42 ligands —
-    the paper's preparation-phase argument. The pruned build touches only
-    in-cutoff (point, atom) pairs and reads energies from lookup rows.
+    the paper's preparation-phase argument. The full sweep is the dense
+    ``(points x atoms)`` oracle the tests keep; the analytic build
+    enumerates only in-cutoff (point, atom) pairs and must reproduce its
+    maps bit for bit, and the tables build also reads energies from
+    lookup rows. Both must beat the full sweep; the analytic-vs-tables
+    ratio is recorded, not asserted.
     """
     from repro.docking.autogrid import AutoGrid
     from repro.docking.etables import shared_etables
+    from tests.docking.dense_maps import DenseAutoGrid
 
     rec_prep, lig, box = _kernel_fixture()
     types = lig.atom_types if SMOKE else ("C", "A", "N", "NA", "OA", "SA", "HD")
@@ -443,26 +448,36 @@ def test_map_build_pruning():
     # (the rows are built once per process and shared by every receptor).
     AutoGrid(etables=etables).run(rec_prep.molecule, box, types)
 
+    full_sweep_s = _best_of(
+        lambda: DenseAutoGrid().run(rec_prep.molecule, box, types)
+    )
     analytic_s = _best_of(
         lambda: AutoGrid().run(rec_prep.molecule, box, types)
     )
-    pruned_s = _best_of(
+    tables_s = _best_of(
         lambda: AutoGrid(etables=etables).run(rec_prep.molecule, box, types)
     )
-    speedup = analytic_s / pruned_s
 
+    analytic_speedup = full_sweep_s / analytic_s
+    tables_speedup = full_sweep_s / tables_s
+
+    maps_d = DenseAutoGrid().run(rec_prep.molecule, box, types)
     maps_a = AutoGrid().run(rec_prep.molecule, box, types)
     maps_t = AutoGrid(etables=etables).run(rec_prep.molecule, box, types)
     for t in maps_a.affinity:
+        assert np.array_equal(maps_a.affinity[t], maps_d.affinity[t]), t
         err = np.abs(maps_a.affinity[t] - maps_t.affinity[t])
         assert (err <= 2e-2 + 2e-2 * np.abs(maps_a.affinity[t])).all(), t
 
     payload = {
         "grid_points": int(np.prod(box.shape)),
         "map_types": len(types),
+        "full_sweep_s": full_sweep_s,
         "analytic_s": analytic_s,
-        "pruned_s": pruned_s,
-        "speedup": round(speedup, 2),
+        "tables_s": tables_s,
+        "analytic_speedup": round(analytic_speedup, 2),
+        "tables_speedup": round(tables_speedup, 2),
+        "analytic_over_tables": round(analytic_s / tables_s, 2),
         "asserted": not SMOKE,
     }
     if SMOKE:
@@ -470,11 +485,13 @@ def test_map_build_pruning():
     _record("map_build_pruning", payload)
     print(
         f"\nmap build pruning ({payload['grid_points']} points, "
-        f"{len(types)} maps): analytic {analytic_s * 1e3:.0f} ms, "
-        f"pruned {pruned_s * 1e3:.0f} ms -> {speedup:.2f}x"
+        f"{len(types)} maps): full sweep {full_sweep_s * 1e3:.0f} ms, "
+        f"analytic {analytic_s * 1e3:.0f} ms ({analytic_speedup:.2f}x), "
+        f"tables {tables_s * 1e3:.0f} ms ({tables_speedup:.2f}x)"
     )
     if not SMOKE:
-        assert speedup > 1.0, f"pruned build only {speedup:.2f}x"
+        assert analytic_speedup > 1.0, f"analytic build only {analytic_speedup:.2f}x"
+        assert tables_speedup > 1.0, f"tables build only {tables_speedup:.2f}x"
 
 
 def test_straggler_speculation():

@@ -7,9 +7,11 @@ module reproduces that pipeline: one map per requested atom type, plus the
 electrostatic and desolvation maps, the ``.fld`` grid-field metadata and
 the ``.glg`` log.
 
-The inner loops are fully vectorized: each map is a single
-``(P points x N receptor atoms)`` broadcast, chunked over atoms to bound
-peak memory.
+The analytic build only visits the ``(grid point, receptor atom)``
+pairs within the cutoff (:func:`~repro.docking.neighbors.lattice_pairs`)
+and accumulates them per ``(receptor type, atom chunk)`` block with
+``np.bincount``; the maps are bit-identical to a dense
+``(P points x N atoms)`` sweep.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import TYPE_CHECKING
 from repro.chem.molecule import Molecule
 from repro.docking.box import GridBox
 from repro.docking import forcefield as ff
-from repro.docking.neighbors import CellList
+from repro.docking.neighbors import CellList, lattice_pairs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.docking.etables import EtableSet
@@ -135,11 +137,13 @@ class AutoGrid:
     Parameters
     ----------
     chunk_atoms:
-        Receptor atoms are processed in chunks of this size so the
-        ``points x atoms`` broadcast stays within a bounded footprint.
+        Receptor atoms of one type are accumulated in chunks of this
+        size: each chunk's in-cutoff pairs are gathered, evaluated and
+        added to the maps as one block.
     cutoff:
-        Nonbonded cutoff; receptor atoms farther than this from the box
-        (plus box diagonal) are skipped entirely.
+        Nonbonded cutoff (inclusive). Receptor atoms farther than this
+        from the box faces along any axis are skipped entirely; the
+        rest only contribute to grid points within the cutoff.
     etables:
         Optional :class:`~repro.docking.etables.EtableSet`. When given,
         the build runs the table-driven kernel over a receptor cell
@@ -192,8 +196,7 @@ class AutoGrid:
         if not ligand_types:
             raise GridError("at least one ligand atom type is required")
         started = time.perf_counter()
-        points = box.points()  # (P, 3)
-        P = points.shape[0]
+        P = int(np.prod(box.shape))
         rec_coords, rec_types, rec_charges = self._relevant_atoms(receptor, box)
         N = rec_coords.shape[0]
 
@@ -203,7 +206,7 @@ class AutoGrid:
 
         if self.etables is not None:
             self._run_tables(
-                points, rec_coords, rec_types, rec_charges,
+                box.points(), rec_coords, rec_types, rec_charges,
                 affinity, electro, desolv,
             )
             return self._package(
@@ -217,23 +220,20 @@ class AutoGrid:
         rec_types_arr = np.array(rec_types)
         for rt in dict.fromkeys(rec_types):
             by_type[rt] = np.nonzero(rec_types_arr == rt)[0]
+        lig_solv = {lt: ff.solvation_parameter(lt) for lt in affinity}
 
         for rt, group_idx in by_type.items():
             rt_vol = ff.AUTODOCK_TYPES[rt].vol
             for start in range(0, len(group_idx), self.chunk_atoms):
                 sel = group_idx[start : start + self.chunk_atoms]
-                chunk = rec_coords[sel]  # (C, 3)
-                qchunk = rec_charges[sel]
-                diff = points[:, None, :] - chunk[None, :, :]
-                r2 = np.einsum("pcx,pcx->pc", diff, diff)
-                # Sparsify: most grid-point/atom pairs exceed the cutoff,
-                # so gather the within-cutoff pairs once and accumulate
-                # with bincount instead of dense where-sums.
-                pi, ci = np.nonzero(r2 <= self.cutoff**2)
+                # In-cutoff (point, atom) pairs only, atom-major: each
+                # point's bincount sum runs in ascending atom order, as
+                # it would over the full points x atoms sweep.
+                pi, ci, r = lattice_pairs(box, rec_coords[sel], self.cutoff)
                 if pi.size == 0:
                     continue
-                rv = np.maximum(np.sqrt(r2[pi, ci]), 0.01)
-                qv = qchunk[ci]
+                rv = np.maximum(r, 0.01)
+                qv = rec_charges[sel][ci]
                 # Electrostatic map: potential per unit probe charge,
                 # per-pair clamped like the pairwise Coulomb kernel.
                 eps = ff.mehler_solmajer_dielectric(rv)
@@ -246,21 +246,28 @@ class AutoGrid:
                 # Desolvation envelope weighted by receptor atom volume;
                 # the scorer multiplies by |q_ligand|, so the charge-based
                 # solvation parameter and the FE weight live in the map.
-                envelope = np.exp(-(rv**2) / (2.0 * ff.DESOLV_SIGMA**2))
+                envelope = ff.desolvation_envelope(rv)
                 desolv += np.bincount(
                     pi,
                     weights=ff.FE_COEFF_DESOLV * envelope * rt_vol * 0.01097,
                     minlength=P,
                 )
                 # Per-ligand-type affinity maps (vdW/H-bond + pair desolv).
-                for lt, grid in affinity.items():
-                    p = ff.pair_params(lt, rt)
+                # The envelope and the receptor-charge solvation term are
+                # shared by every type, the vdW row by every type with the
+                # same pair parameters (C and A).
+                rec_solv = ff.solvation_parameter(rt, qv)
+                by_params: dict[ff.PairParams, list[str]] = {}
+                for lt in affinity:
+                    by_params.setdefault(ff.pair_params(lt, rt), []).append(lt)
+                for p, lts in by_params.items():
                     weight = ff.FE_COEFF_HBOND if p.is_hbond else ff.FE_COEFF_VDW
-                    e = ff.vdw_energy(rv, p) * weight
-                    e += ff.FE_COEFF_DESOLV * ff.desolvation_energy(
-                        rv, lt, rt, 0.0, qv
-                    )
-                    grid += np.bincount(pi, weights=e, minlength=P)
+                    vdw = ff.vdw_energy(rv, p) * weight
+                    for lt in lts:
+                        e = vdw + ff.FE_COEFF_DESOLV * ff.pair_desolvation(
+                            lt, rt, lig_solv[lt], rec_solv, envelope
+                        )
+                        affinity[lt] += np.bincount(pi, weights=e, minlength=P)
 
         return self._package(
             box, receptor, affinity, electro, desolv, N, started

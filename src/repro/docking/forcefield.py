@@ -144,6 +144,31 @@ def coulomb_energy(r: np.ndarray, qi: float | np.ndarray, qj: float | np.ndarray
     return np.clip(e, -ESTAT_CLAMP, ESTAT_CLAMP)
 
 
+def desolvation_envelope(r: np.ndarray) -> np.ndarray:
+    """Gaussian distance envelope ``exp(-r^2 / 2 sigma^2)`` of desolvation."""
+    r = np.asarray(r, dtype=np.float64)
+    return np.exp(-(r**2) / (2.0 * DESOLV_SIGMA**2))
+
+
+def solvation_parameter(
+    adtype: str, q: float | np.ndarray = 0.0, qsolpar: float = 0.01097
+) -> float | np.ndarray:
+    """Charge-dependent atomic solvation parameter ``solpar + qsolpar |q|``."""
+    return AUTODOCK_TYPES[adtype].solpar + qsolpar * np.abs(np.asarray(q))
+
+
+def pair_desolvation(
+    type_i: str,
+    type_j: str,
+    si: float | np.ndarray,
+    sj: float | np.ndarray,
+    envelope: np.ndarray,
+) -> np.ndarray:
+    """AD4 pair desolvation from solvation parameters and the envelope."""
+    ti, tj = AUTODOCK_TYPES[type_i], AUTODOCK_TYPES[type_j]
+    return (si * tj.vol + sj * ti.vol) * envelope
+
+
 def desolvation_energy(
     r: np.ndarray,
     type_i: str,
@@ -153,12 +178,13 @@ def desolvation_energy(
     qsolpar: float = 0.01097,
 ) -> np.ndarray:
     """AD4 desolvation term with the Gaussian distance envelope."""
-    ti, tj = AUTODOCK_TYPES[type_i], AUTODOCK_TYPES[type_j]
-    r = np.asarray(r, dtype=np.float64)
-    envelope = np.exp(-(r**2) / (2.0 * DESOLV_SIGMA**2))
-    si = ti.solpar + qsolpar * np.abs(np.asarray(qi))
-    sj = tj.solpar + qsolpar * np.abs(np.asarray(qj))
-    return (si * tj.vol + sj * ti.vol) * envelope
+    return pair_desolvation(
+        type_i,
+        type_j,
+        solvation_parameter(type_i, qi, qsolpar),
+        solvation_parameter(type_j, qj, qsolpar),
+        desolvation_envelope(r),
+    )
 
 
 @lru_cache(maxsize=None)

@@ -2,11 +2,14 @@
 
 Two pruning layers live here:
 
-* **Spatial** — :class:`CellList`, a uniform cell list over a static
-  point set (receptor atoms). AutoGrid map builds, Vina map builds and
-  the map-free Vina scorer ask it for the atoms within the nonbonded
-  cutoff of each grid point / ligand atom, replacing the
-  ``O(points x receptor_atoms)`` dense distance sweep with an
+* **Spatial** — two enumerators of the ``(point, atom)`` pairs within
+  the nonbonded cutoff, replacing the ``O(points x receptor_atoms)``
+  dense distance sweep. :func:`lattice_pairs` serves the analytic
+  AutoGrid and Vina map builds: each atom walks the grid rows of its
+  cutoff sphere, and pairs come out atom-major so the maps keep the
+  dense sweep's summation order. :class:`CellList`, a uniform cell
+  list over a static point set (receptor atoms), serves the table-mode
+  map builds and the map-free Vina scorer with an
   ``O(points x local_atoms)`` gather over the 27-cell neighborhood.
 * **Topological** — :func:`bond_separation_pairs`, the memoized
   bond-graph BFS behind the AD4/Vina intramolecular pair tables.
@@ -14,7 +17,7 @@ Two pruning layers live here:
   1-4+ pair table is a pure function of the molecular topology, so
   identical walks are served from a process-wide memo.
 
-Both layers are exact: the cell list returns precisely the pairs a
+Both layers are exact: the enumerators return precisely the pairs a
 brute-force ``r <= cutoff`` scan would (order aside), and the memo
 returns the same arrays the per-scorer BFS used to build.
 """
@@ -23,8 +26,12 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.docking.box import GridBox
 
 
 class CellList:
@@ -151,6 +158,94 @@ class CellList:
                     np.concatenate(ai_parts),
                     np.concatenate(r_parts),
                 )
+
+
+#: Atoms whose lattice candidates are enumerated together; bounds the
+#: candidate working set at ~``ATOMS_PER_BLOCK`` cutoff spheres.
+ATOMS_PER_BLOCK = 16
+
+
+def _ranks(counts: np.ndarray) -> np.ndarray:
+    """``0..n-1`` within each of consecutive runs of the given lengths."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def lattice_pairs(
+    box: "GridBox", coords: np.ndarray, cutoff: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All ``(grid point, atom)`` pairs of ``box`` within ``cutoff``.
+
+    The map builders' pair enumerator. Each atom only visits the grid
+    indices of its cutoff sphere: per lattice row ``(ix, iy)`` of its
+    sub-cube, the ``iz`` span the sphere can reach, padded by one index
+    on each side, so rounding in the span never drops a pair. The
+    ``r2 <= cutoff**2`` test on the candidates is the same
+    ``einsum`` over ``(point - atom)`` differences the dense
+    ``(P x N x 3)`` sweep evaluates, so the pair set and every
+    distance are bit-identical to it.
+
+    Returns ``(pi, ai, r)`` — flat grid-point indices (``box.points()``
+    order), atom indices and distances — *atom-major*: atom indices
+    ascend. ``np.bincount(pi, weights)`` therefore adds each point's
+    terms in ascending atom order, exactly as it does over the dense
+    sweep's point-major pairs.
+    """
+    coords = np.asarray(coords, dtype=np.float64).reshape(-1, 3)
+    axes = box.axes()
+    shape = np.array(box.shape, dtype=np.intp)
+    origin = np.array([ax[0] for ax in axes])
+    spacing = float(box.spacing)
+    cut2 = float(cutoff) ** 2
+    reach = cutoff / spacing
+    pi_parts: list[np.ndarray] = []
+    ai_parts: list[np.ndarray] = []
+    r_parts: list[np.ndarray] = []
+    for start in range(0, coords.shape[0], ATOMS_PER_BLOCK):
+        atoms = coords[start : start + ATOMS_PER_BLOCK]
+        frac = (atoms - origin) / spacing
+        lo = np.maximum(np.ceil(frac - reach).astype(np.intp) - 1, 0)
+        hi = np.minimum(np.floor(frac + reach).astype(np.intp) + 1, shape - 1)
+        span = np.maximum(hi - lo + 1, 0)
+        # Lattice rows (ix, iy) of every atom's sub-cube, atom-major.
+        n_rows = span[:, 0] * span[:, 1]
+        row_atom = np.repeat(np.arange(atoms.shape[0]), n_rows)
+        if row_atom.size == 0:
+            continue
+        k = _ranks(n_rows)
+        ny = span[row_atom, 1]
+        ix = lo[row_atom, 0] + k // ny
+        iy = lo[row_atom, 1] + k % ny
+        dx = axes[0][ix] - atoms[row_atom, 0]
+        dy = axes[1][iy] - atoms[row_atom, 1]
+        # The z half-chord of the sphere in this row (rows that miss it
+        # keep a zero chord; the padded span still covers rounding).
+        chord = np.sqrt(np.maximum(cut2 - dx * dx - dy * dy, 0.0)) / spacing
+        zf = frac[row_atom, 2]
+        z0 = np.maximum(np.ceil(zf - chord).astype(np.intp) - 1, lo[row_atom, 2])
+        z1 = np.minimum(np.floor(zf + chord).astype(np.intp) + 1, hi[row_atom, 2])
+        nz = np.maximum(z1 - z0 + 1, 0)
+        cand_row = np.repeat(np.arange(row_atom.size), nz)
+        iz = z0[cand_row] + _ranks(nz)
+        diff = np.empty((cand_row.size, 3))
+        diff[:, 0] = dx[cand_row]
+        diff[:, 1] = dy[cand_row]
+        diff[:, 2] = axes[2][iz] - atoms[row_atom[cand_row], 2]
+        r2 = np.einsum("ij,ij->i", diff, diff)
+        hit = np.nonzero(r2 <= cut2)[0]
+        if hit.size == 0:
+            continue
+        row = cand_row[hit]
+        pi_parts.append((ix[row] * shape[1] + iy[row]) * shape[2] + iz[hit])
+        ai_parts.append(row_atom[row] + start)
+        r_parts.append(np.sqrt(r2[hit]))
+    if not pi_parts:
+        empty = np.empty(0, dtype=np.intp)
+        return empty, empty.copy(), np.empty(0)
+    return (
+        np.concatenate(pi_parts),
+        np.concatenate(ai_parts),
+        np.concatenate(r_parts),
+    )
 
 
 def brute_force_query(

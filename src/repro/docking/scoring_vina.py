@@ -27,7 +27,11 @@ import numpy as np
 from repro.chem.elements import AUTODOCK_TYPES
 from repro.chem.molecule import Molecule
 from repro.docking.box import GridBox
-from repro.docking.neighbors import CellList, bond_separation_pairs
+from repro.docking.neighbors import (
+    CellList,
+    bond_separation_pairs,
+    lattice_pairs,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.docking.etables import EtableSet
@@ -101,24 +105,37 @@ def _type_vectors(mol: Molecule) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     return radii, hydro, donor, acceptor
 
 
+def base_terms(d: np.ndarray) -> np.ndarray:
+    """Weighted gauss1 + gauss2 + repulsion: the radius-dependent terms.
+
+    A function of the surface distance alone, so every probe class with
+    the same xs radius shares it.
+    """
+    g1 = np.exp(-((d / 0.5) ** 2))
+    g2 = np.exp(-(((d - 3.0) / 2.0) ** 2))
+    rep = np.where(d < 0.0, d * d, 0.0)
+    return W_GAUSS1 * g1 + W_GAUSS2 * g2 + W_REPULSION * rep
+
+
+def add_ramp_terms(
+    base: np.ndarray,
+    d: np.ndarray,
+    hydro_pair: np.ndarray,
+    hbond_pair: np.ndarray,
+) -> np.ndarray:
+    """``base`` plus the weighted hydrophobic and H-bond ramps."""
+    hyd = np.clip(1.5 - d, 0.0, 1.0) * hydro_pair
+    hb = np.clip(-d / 0.7, 0.0, 1.0) * hbond_pair
+    return base + W_HYDROPHOBIC * hyd + W_HBOND * hb
+
+
 def pairwise_terms(
     d: np.ndarray,
     hydro_pair: np.ndarray,
     hbond_pair: np.ndarray,
 ) -> np.ndarray:
     """Weighted Vina energy per pair given surface distances ``d``."""
-    g1 = np.exp(-((d / 0.5) ** 2))
-    g2 = np.exp(-(((d - 3.0) / 2.0) ** 2))
-    rep = np.where(d < 0.0, d * d, 0.0)
-    hyd = np.clip(1.5 - d, 0.0, 1.0) * hydro_pair
-    hb = np.clip(-d / 0.7, 0.0, 1.0) * hbond_pair
-    return (
-        W_GAUSS1 * g1
-        + W_GAUSS2 * g2
-        + W_REPULSION * rep
-        + W_HYDROPHOBIC * hyd
-        + W_HBOND * hb
-    )
+    return add_ramp_terms(base_terms(d), d, hydro_pair, hbond_pair)
 
 
 @dataclass(frozen=True)
@@ -231,11 +248,14 @@ def build_vina_maps(
     With ``etables`` the build runs the table-driven kernel over a cell
     list: each grid point only visits receptor atoms within the cutoff
     (27-cell neighborhood) and evaluates the five Vina terms by row
-    interpolation instead of the analytic exp/clip expressions. The
-    analytic full-sweep path below stays the bit-exact reference.
+    interpolation instead of the analytic exp/clip expressions.
+
+    The analytic path enumerates the in-cutoff pairs per atom chunk with
+    :func:`~repro.docking.neighbors.lattice_pairs` and evaluates the
+    exact Vina terms; its grids are bit-identical to a dense
+    ``(points x atoms)`` sweep.
     """
-    points = box.points()
-    P = points.shape[0]
+    P = int(np.prod(box.shape))
     rad, hyd, don, acc = _type_vectors(receptor)
     rec_coords = receptor.coords
     cutoff = etables.config.r_max if etables is not None else CUTOFF
@@ -250,7 +270,7 @@ def build_vina_maps(
         rows_by_class = {cls: vt.rows_for(cls.radius + rad) for cls in classes}
         if rec_coords.shape[0] > 0:
             cells = CellList(rec_coords, cell_size=cutoff)
-            for pi, ai, r in cells.iter_query(points, cutoff):
+            for pi, ai, r in cells.iter_query(box.points(), cutoff):
                 for cls, grid in grids.items():
                     e = vt.eval(
                         rows_by_class[cls][ai],
@@ -259,31 +279,33 @@ def build_vina_maps(
                         (cls.donor & acc[ai]) | (cls.acceptor & don[ai]),
                     )
                     grid += np.bincount(pi, weights=e, minlength=P)
-        shape = box.shape
-        return VinaMaps(
-            box=box,
-            grids={cls: g.reshape(shape) for cls, g in grids.items()},
-            receptor_name=receptor.name,
-        )
-    for start in range(0, rec_coords.shape[0], chunk_atoms):
-        stop = start + chunk_atoms
-        chunk = rec_coords[start:stop]
-        diff = points[:, None, :] - chunk[None, :, :]
-        r2 = np.einsum("pcx,pcx->pc", diff, diff)
-        pi, ci = np.nonzero(r2 <= CUTOFF**2)
-        if pi.size == 0:
-            continue
-        rv = np.sqrt(r2[pi, ci])
-        rad_c = rad[start:stop][ci]
-        hyd_c = hyd[start:stop][ci]
-        don_c = don[start:stop][ci]
-        acc_c = acc[start:stop][ci]
-        for cls, grid in grids.items():
-            d = rv - cls.radius - rad_c
-            hydro_pair = cls.hydrophobic & hyd_c
-            hbond_pair = (cls.donor & acc_c) | (cls.acceptor & don_c)
-            e = pairwise_terms(d, hydro_pair, hbond_pair)
-            grid += np.bincount(pi, weights=e, minlength=P)
+    else:
+        # Classes of one xs radius share d and the gauss/repulsion base;
+        # a class without ramp flags would only add -0.0 ramps to it.
+        by_radius: dict[float, list[VinaAtomClass]] = {}
+        for cls in classes:
+            by_radius.setdefault(cls.radius, []).append(cls)
+        for start in range(0, rec_coords.shape[0], chunk_atoms):
+            stop = start + chunk_atoms
+            # Atom-major in-cutoff pairs: per-point sums in ascending atom
+            # order, as over the full points x atoms sweep.
+            pi, ci, rv = lattice_pairs(box, rec_coords[start:stop], CUTOFF)
+            if pi.size == 0:
+                continue
+            rad_c = rad[start:stop][ci]
+            hyd_c = hyd[start:stop][ci]
+            don_c = don[start:stop][ci]
+            acc_c = acc[start:stop][ci]
+            for radius, members in by_radius.items():
+                d = rv - radius - rad_c
+                base = base_terms(d)
+                for cls in members:
+                    e = base
+                    if cls.hydrophobic or cls.donor or cls.acceptor:
+                        hydro_pair = cls.hydrophobic & hyd_c
+                        hbond_pair = (cls.donor & acc_c) | (cls.acceptor & don_c)
+                        e = add_ramp_terms(base, d, hydro_pair, hbond_pair)
+                    grids[cls] += np.bincount(pi, weights=e, minlength=P)
     shape = box.shape
     return VinaMaps(
         box=box,

@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import os
 import pickle
+import shutil
 import socket
 import tempfile
 import threading
@@ -82,6 +83,9 @@ class WorkerNode:
         self.slots = max(1, int(slots))
         self.node_id = node_id or f"{socket.gethostname()}-{os.getpid()}"
         self.map_cache = map_cache
+        #: Default cache directory this node created (and removes at
+        #: shutdown); an explicit ``map_cache`` is never removed.
+        self._own_cache: str | None = None
         self.connect_timeout = connect_timeout
         self.conn: FrameConn | None = None
         self.plane: ArtifactPlane | None = None
@@ -175,6 +179,9 @@ class WorkerNode:
                 except Exception:  # pragma: no cover - best-effort cleanup
                     pass
                 self.plane = None
+            if self._own_cache is not None:
+                shutil.rmtree(self._own_cache, ignore_errors=True)
+                self._own_cache = None
             self.conn.close()
 
     def _setup(self, payload: dict) -> None:
@@ -191,9 +198,11 @@ class WorkerNode:
             # receive path always honors the per-frame flag).
             self.conn.enable_compression()
         if self.plane is None:
-            cache_dir = self.map_cache or os.path.join(
-                tempfile.gettempdir(), f"repro-node-cache-{os.getpid()}"
-            )
+            cache_dir = self.map_cache
+            if cache_dir is None:
+                cache_dir = self._own_cache = tempfile.mkdtemp(
+                    prefix=f"repro-node-cache-{os.getpid()}-"
+                )
             self.plane = ArtifactPlane.create(
                 map_cache_dir=cache_dir,
                 exchange=tuple(exchange) if exchange else None,
@@ -395,7 +404,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--map-cache", default=None,
-        help="node-local content-addressed map cache directory",
+        help="node-local content-addressed map cache directory "
+        "(default: a temporary directory removed at shutdown)",
     )
     args = parser.parse_args(argv)
     node = WorkerNode(

@@ -1,8 +1,8 @@
-"""Cell-list correctness: exact pair-set equality with brute force.
+"""Pair-enumerator correctness: exact pair-set equality with brute force.
 
-The cell list is a pruning structure, not an approximation — on any
-input it must return exactly the ``(point, atom)`` pairs a dense
-``r <= cutoff`` scan finds.
+The cell list and the lattice enumerator are pruning structures, not
+approximations — on any input they must return exactly the
+``(point, atom)`` pairs a dense ``r <= cutoff`` scan finds.
 """
 
 import numpy as np
@@ -11,7 +11,11 @@ import pytest
 from repro.docking.autogrid import AutoGrid
 from repro.docking.box import GridBox
 from repro.docking.etables import shared_etables
-from repro.docking.neighbors import CellList, brute_force_query
+from repro.docking.neighbors import (
+    CellList,
+    brute_force_query,
+    lattice_pairs,
+)
 from repro.docking.scoring_vina import build_vina_maps
 
 
@@ -81,8 +85,41 @@ class TestCellListEquivalence:
             list(cells.iter_query(np.zeros((1, 3)), 0.0))
 
 
+class TestLatticePairs:
+    """The map builders' enumerator: brute-force pairs, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_randomized_boxes_match_brute_force(self, seed):
+        rng = np.random.default_rng(seed)
+        box = GridBox(
+            center=rng.uniform(-5.0, 5.0, 3),
+            npts=tuple(int(n) for n in rng.integers(2, 24, 3)),
+            spacing=float(rng.uniform(0.3, 1.2)),
+        )
+        cutoff = float(rng.uniform(1.0, 9.0))
+        n_atoms = int(rng.integers(1, 120))
+        coords = rng.uniform(
+            box.minimum - cutoff - 2.0, box.maximum + cutoff + 2.0, (n_atoms, 3)
+        )
+        pi, ai, r = lattice_pairs(box, coords, cutoff)
+        assert np.all(np.diff(ai) >= 0)  # atom-major
+        bpi, bai, br = brute_force_query(box.points(), coords, cutoff)
+        order = np.lexsort((pi, ai))
+        border = np.lexsort((bpi, bai))
+        assert np.array_equal(pi[order], bpi[border])
+        assert np.array_equal(ai[order], bai[border])
+        assert np.array_equal(r[order], br[border])
+
+    def test_empty_and_out_of_range(self):
+        box = GridBox(center=[0.0, 0.0, 0.0], npts=(4, 4, 4), spacing=0.5)
+        pi, ai, r = lattice_pairs(box, np.empty((0, 3)), 8.0)
+        assert pi.size == ai.size == r.size == 0
+        pi, ai, r = lattice_pairs(box, np.array([[50.0, 0.0, 0.0]]), 8.0)
+        assert pi.size == 0
+
+
 class TestPrunedMapBuilds:
-    """The cell-list map paths reproduce the full-sweep map numbers."""
+    """The cell-list table builds stay close to the analytic maps."""
 
     def test_autogrid_tables_close_to_analytic(self, prepared_receptor):
         box = GridBox(

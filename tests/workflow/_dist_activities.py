@@ -6,6 +6,7 @@ tests load this file under the stable module name ``_dist_activities``
 and worker subprocesses import it from ``PYTHONPATH``.
 """
 
+import os
 import time
 from pathlib import Path
 
@@ -42,6 +43,20 @@ def paced(tup, context):
     else:  # pragma: no cover - tokenless context
         time.sleep(seconds)
     return [{"key": tup["key"], "receptor_id": tup.get("receptor_id", "")}]
+
+
+def node_cache(tup, context):
+    """Report the executing node's map-cache directory and that it exists
+    (paced like :func:`paced` so every node gets a share of the tuples)."""
+    time.sleep(float(tup.get("sleep_s", 0.05)))
+    cache_dir = context["artifact_plane"].map_cache_dir
+    return [
+        {
+            "key": tup["key"],
+            "cache_dir": cache_dir,
+            "existed": os.path.isdir(cache_dir),
+        }
+    ]
 
 
 def gated(tup, context):

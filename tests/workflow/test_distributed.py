@@ -65,7 +65,9 @@ def _worker_env() -> dict:
     return env
 
 
-def _spawn_worker(address, node_id: str, slots: int = 2) -> subprocess.Popen:
+def _spawn_worker(
+    address, node_id: str, slots: int = 2, extra_args=(), env=None
+) -> subprocess.Popen:
     host, port = address
     return subprocess.Popen(
         [
@@ -78,8 +80,9 @@ def _spawn_worker(address, node_id: str, slots: int = 2) -> subprocess.Popen:
             str(slots),
             "--node-id",
             node_id,
+            *extra_args,
         ],
-        env=_worker_env(),
+        env=env or _worker_env(),
     )
 
 
@@ -230,6 +233,59 @@ class TestGoldenParity:
         assert sum(
             finished[-1]["tuples_per_node"].values()
         ) == 2 * len(KEYS)
+
+
+class TestNodeMapCache:
+    def test_node_removes_only_the_cache_it_created(self, tmp_path):
+        """A node without ``--map-cache`` creates its cache under the
+        temp dir and removes it at shutdown; an explicit one survives."""
+        tmpdir = tmp_path / "tmp"
+        tmpdir.mkdir()
+        explicit = tmp_path / "explicit-cache"
+        env = _worker_env()
+        env["TMPDIR"] = str(tmpdir)
+        engine = LocalEngine(
+            ProvenanceStore(),
+            workers=4,
+            backend="distributed",
+            min_nodes=2,
+            join_timeout=30.0,
+        )
+        workers = [
+            _spawn_worker(engine.director_address, "cache-default", env=env),
+            _spawn_worker(
+                engine.director_address,
+                "cache-explicit",
+                extra_args=("--map-cache", str(explicit)),
+                env=env,
+            ),
+        ]
+        try:
+            report = engine.run(
+                Workflow(
+                    "nodecache",
+                    [Activity("probe", Operator.MAP, fn=da.node_cache)],
+                ),
+                Relation("in", [{"key": f"c{i:02d}"} for i in range(12)]),
+                context={"shared_maps": False},
+            )
+        finally:
+            engine.shutdown()
+            _reap(workers)
+        assert report.succeeded
+        assert [w.returncode for w in workers] == [0, 0]
+        assert set(report.tuples_per_node) == {"cache-default", "cache-explicit"}
+        dirs = {t["cache_dir"] for t in report.output}
+        assert all(t["existed"] for t in report.output)
+        default = dirs - {str(explicit)}
+        assert len(default) == 1
+        created = Path(default.pop())
+        assert created.parent == tmpdir
+        assert created.name.startswith("repro-node-cache-")
+        assert not created.exists()
+        assert not list(tmpdir.glob("repro-node-cache-*"))
+        assert not list(tmpdir.glob("repro-plane-*"))
+        assert explicit.is_dir()
 
 
 class TestNodeLoss:
