@@ -494,6 +494,81 @@ def test_map_build_pruning():
         assert tables_speedup > 1.0, f"tables build only {tables_speedup:.2f}x"
 
 
+def test_search_overhead():
+    """Solis-Wets-shaped two-pose batches: original kernels vs current.
+
+    Solis-Wets scores a candidate and its mirror per step, so its cost
+    is per-call numpy overhead in posing and the grid gather, not
+    arithmetic. The same genotype pairs are posed and scored through
+    the original per-call kernels (``tests/docking/search_oracle.py``)
+    and through the compiled torsion plan and shared stack gather; the
+    energies must be identical before anything is timed.
+    """
+    from repro.docking import scoring_ad4
+    from repro.docking.autogrid import AutoGrid
+    from repro.docking.conformation import Conformation, normalize_vectors
+    from tests.docking import search_oracle as oracle
+
+    rec_prep, lig, box = _kernel_fixture()
+    maps = AutoGrid().run(rec_prep.molecule, box, lig.atom_types)
+    current = scoring_ad4.AD4Scorer(maps, lig.molecule)
+    gather = scoring_ad4.StackGather
+    scoring_ad4.StackGather = oracle.OracleStackGather
+    try:
+        original = scoring_ad4.AD4Scorer(maps, lig.molecule)
+    finally:
+        scoring_ad4.StackGather = gather
+    tree = lig.tree
+
+    n_steps = 50 if SMOKE else 400
+    rng = np.random.default_rng(0)
+    x = Conformation.random(tree.n_torsions, rng, center=box.center).vector
+    steps = rng.normal(scale=0.5, size=(n_steps, x.size))
+    pairs = [normalize_vectors(np.stack([x + d, x - d])) for d in steps]
+
+    def run(pose, scorer):
+        return [
+            scorer.docking_energy_batch(pose(V[:, :3], V[:, 3:7], V[:, 7:]))
+            for V in pairs
+        ]
+
+    def run_original():
+        return run(lambda *a: oracle.pose_batch(tree, *a), original)
+
+    def run_current():
+        return run(tree.pose_batch, current)
+
+    for a, b in zip(run_original(), run_current()):  # parity before timing
+        assert np.array_equal(a, b)
+    original_s = _best_of(run_original)
+    current_s = _best_of(run_current)
+    speedup = original_s / current_s
+
+    payload = {
+        "batch": 2,
+        "steps": n_steps,
+        "ligand_atoms": len(lig.molecule.atoms),
+        "torsions": tree.n_torsions,
+        "original_s": original_s,
+        "current_s": current_s,
+        "original_us_per_step": round(original_s / n_steps * 1e6, 1),
+        "current_us_per_step": round(current_s / n_steps * 1e6, 1),
+        "speedup": round(speedup, 2),
+        "asserted": not SMOKE,
+    }
+    if SMOKE:
+        payload["skipped_reason"] = "REPRO_BENCH_SMOKE=1"
+    _record("search_overhead", payload)
+    print(
+        f"\nsearch overhead ({n_steps} two-pose steps, "
+        f"{tree.n_torsions} torsions): original "
+        f"{payload['original_us_per_step']} us/step, current "
+        f"{payload['current_us_per_step']} us/step -> {speedup:.2f}x"
+    )
+    if not SMOKE:
+        assert speedup > 1.0, f"current search path only {speedup:.2f}x"
+
+
 def test_straggler_speculation():
     """TET with and without speculative re-execution of a 10x straggler.
 

@@ -39,6 +39,11 @@ def rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:
     )
 
 
+#: Rodrigues' constant term ``c I + s [u]_x`` as a pick from the row
+#: ``(c, xs, ys, zs, -xs, -ys, -zs)``, row-major over the 3x3 matrix.
+_RODRIGUES_PICK = np.array([0, 6, 2, 3, 0, 4, 5, 1, 0])
+
+
 def rotation_about_axis_batch(axes: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """Rodrigues rotation matrices for ``(K, 3)`` axes / ``(K,)`` angles.
 
@@ -48,21 +53,31 @@ def rotation_about_axis_batch(axes: np.ndarray, angles: np.ndarray) -> np.ndarra
     axes = np.asarray(axes, dtype=np.float64)
     angles = np.asarray(angles, dtype=np.float64)
     norms = np.sqrt((axes * axes).sum(axis=1))
-    if np.any(norms < 1e-12):
+    if (norms < 1e-12).any():
         raise ValueError("rotation axis must be non-zero")
-    x, y, z = (axes / norms[:, None]).T
+    return rodrigues_batch(axes, norms, angles)
+
+
+def rodrigues_batch(
+    axes: np.ndarray, norms: np.ndarray, angles: np.ndarray
+) -> np.ndarray:
+    """:func:`rotation_about_axis_batch` for callers holding the norms.
+
+    ``norms`` must be ``sqrt((axes * axes).sum(axis=1))``, all non-zero;
+    :meth:`TorsionTree.pose_batch` has just computed them to decide
+    which rows turn. The matrices are ``(u u^T) C + (c I + s [u]_x)``
+    with ``u = axes / norms`` and ``C = 1 - c``: a dozen array
+    operations instead of one chain per matrix entry, which is what a
+    two-pose Solis-Wets batch pays for. Entry by entry this is the
+    arithmetic of :func:`rotation_about_axis` (``y*x == x*y`` and
+    ``a + (-b) == a - b`` hold exactly in IEEE 754).
+    """
+    u = axes / norms[:, None]
     c, s = np.cos(angles), np.sin(angles)
-    C = 1.0 - c
-    R = np.empty((axes.shape[0], 3, 3))
-    R[:, 0, 0] = x * x * C + c
-    R[:, 0, 1] = x * y * C - z * s
-    R[:, 0, 2] = x * z * C + y * s
-    R[:, 1, 0] = y * x * C + z * s
-    R[:, 1, 1] = y * y * C + c
-    R[:, 1, 2] = y * z * C - x * s
-    R[:, 2, 0] = z * x * C - y * s
-    R[:, 2, 1] = z * y * C + x * s
-    R[:, 2, 2] = z * z * C + c
+    su = u * s[:, None]
+    terms = np.concatenate((c[:, None], su, -su), axis=1)
+    R = (u[:, :, None] * u[:, None, :]) * (1.0 - c)[:, None, None]
+    R += terms.take(_RODRIGUES_PICK, axis=1).reshape(-1, 3, 3)
     return R
 
 
@@ -84,30 +99,38 @@ def quaternion_to_matrix(q: np.ndarray) -> np.ndarray:
     )
 
 
+#: Quaternion matrix entries as ``first + sign * second`` over the
+#: products ``u_a u_b`` of the unit quaternion (w, x, y, z) = u_0..u_3,
+#: flattened to ``4 a + b``; the diagonal is ``1 - 2 (...)``, the rest
+#: ``2 (...)``, row-major over the 3x3 matrix.
+_QUAT_FIRST = np.array([10, 6, 7, 6, 5, 11, 7, 11, 5])  # yy xy xz xy xx yz xz yz xx
+_QUAT_SECOND = np.array([15, 3, 2, 3, 15, 1, 2, 1, 10])  # zz wz wy wz zz wx wy wx yy
+_QUAT_SIGN = np.array([1.0, -1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
+_DIAGONAL = np.array([0, 4, 8])
+
+
 def quaternion_to_matrix_batch(q: np.ndarray) -> np.ndarray:
     """Unit quaternions ``(K, 4)`` to rotation matrices ``(K, 3, 3)``.
 
     Same arithmetic as :func:`quaternion_to_matrix`, vectorized over the
-    leading axis.
+    leading axis: every entry is read from the 4x4 product table of the
+    normalized quaternion in a few array operations, which is what one
+    pose batch pays for (``a + (-b) == a - b`` holds exactly).
     """
     q = np.asarray(q, dtype=np.float64)
     if q.ndim != 2 or q.shape[1] != 4:
         raise ValueError("quaternion batch must have shape (K, 4)")
     n = np.sqrt((q * q).sum(axis=1))
-    if np.any(n < 1e-12):
+    if (n < 1e-12).any():
         raise ValueError("zero quaternion has no orientation")
-    w, x, y, z = (q / n[:, None]).T
-    R = np.empty((q.shape[0], 3, 3))
-    R[:, 0, 0] = 1 - 2 * (y * y + z * z)
-    R[:, 0, 1] = 2 * (x * y - w * z)
-    R[:, 0, 2] = 2 * (x * z + w * y)
-    R[:, 1, 0] = 2 * (x * y + w * z)
-    R[:, 1, 1] = 1 - 2 * (x * x + z * z)
-    R[:, 1, 2] = 2 * (y * z - w * x)
-    R[:, 2, 0] = 2 * (x * z - w * y)
-    R[:, 2, 1] = 2 * (y * z + w * x)
-    R[:, 2, 2] = 1 - 2 * (x * x + y * y)
-    return R
+    u = q / n[:, None]
+    products = (u[:, :, None] * u[:, None, :]).reshape(-1, 16)
+    R = 2 * (
+        products.take(_QUAT_FIRST, axis=1)
+        + products.take(_QUAT_SECOND, axis=1) * _QUAT_SIGN
+    )
+    R[:, _DIAGONAL] = 1 - R[:, _DIAGONAL]
+    return R.reshape(-1, 3, 3)
 
 
 def random_rotation_matrix(rng: np.random.Generator) -> np.ndarray:

@@ -10,13 +10,11 @@ machinery, vectorized over atom blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from repro.chem.geometry import (
-    quaternion_to_matrix_batch,
-    rotation_about_axis_batch,
-)
+from repro.chem.geometry import quaternion_to_matrix_batch, rodrigues_batch
 from repro.chem.molecule import Molecule
 
 
@@ -180,6 +178,15 @@ class TorsionTree:
         return branches
 
     # -- posing ---------------------------------------------------------------
+    @cached_property
+    def _plan(self) -> tuple[tuple[int, int, np.ndarray], ...]:
+        """The branches flattened to ``(axis_from, axis_to, moved)`` in
+        application order, with contiguous ``intp`` atom indices."""
+        return tuple(
+            (br.axis_from, br.axis_to, np.ascontiguousarray(br.moved, dtype=np.intp))
+            for br in self.branches
+        )
+
     @property
     def n_torsions(self) -> int:
         return len(self.branches)
@@ -231,6 +238,12 @@ class TorsionTree:
         round-trips. Each pose's arithmetic is identical to the scalar
         path — per-pose ``(M, 3) @ (3, 3)`` matmuls — so results match
         pose-by-pose evaluation exactly.
+
+        The branches run from :attr:`_plan`, compiled on first use. When
+        every pose of a batch turns a branch (the normal case) the whole
+        batch rotates with one ``take`` and one slice assignment; only
+        batches with a zero torsion or a degenerate axis on some rows
+        select the turning rows first.
         """
         translations = np.asarray(translations, dtype=np.float64)
         quaternions = np.asarray(quaternions, dtype=np.float64)
@@ -247,19 +260,34 @@ class TorsionTree:
                 f"{torsions.shape}"
             )
         coords = np.repeat(self.reference[None, :, :], P, axis=0)
-        for k, br in enumerate(self.branches):
-            angles = torsions[:, k]
-            origin = coords[:, br.axis_from]  # (P, 3)
-            axis = coords[:, br.axis_to] - origin
+        # One contiguous row of angles per branch: cos/sin see the same
+        # contiguous input whether a branch turns all rows or some.
+        angle_rows = np.ascontiguousarray(torsions.T)
+        live = np.abs(angle_rows) >= 1e-12
+        for (axis_from, axis_to, moved), angles, live_k in zip(
+            self._plan, angle_rows, live
+        ):
+            origin = coords[:, axis_from]  # (P, 3)
+            axis = coords[:, axis_to] - origin
             norm = np.sqrt((axis * axis).sum(axis=1))
-            active = (np.abs(angles) >= 1e-12) & (norm >= 1e-9)
+            active = live_k & (norm >= 1e-9)
+            if active.all():
+                # The normal case: rotate every pose, no row selection.
+                R = rodrigues_batch(axis, norm, angles)
+                o = origin[:, None, :]
+                coords[:, moved] = (
+                    coords.take(moved, axis=1) - o
+                ) @ R.transpose(0, 2, 1) + o
+                continue
             if not active.any():
                 continue
+            # Zero torsion or degenerate axis on some rows: those poses
+            # keep their coordinates untouched.
             idx = np.nonzero(active)[0]
-            R = rotation_about_axis_batch(axis[idx], angles[idx])
+            R = rodrigues_batch(axis[idx], norm[idx], angles[idx])
             o = origin[idx][:, None, :]
-            moved = coords[np.ix_(idx, br.moved)]
-            coords[np.ix_(idx, br.moved)] = (moved - o) @ R.transpose(0, 2, 1) + o
+            rows = np.ix_(idx, moved)
+            coords[rows] = (coords[rows] - o) @ R.transpose(0, 2, 1) + o
         root_pos = coords[:, self.root][:, None, :]  # (P, 1, 3)
         R = quaternion_to_matrix_batch(quaternions)
         coords = (coords - root_pos) @ R.transpose(0, 2, 1) + root_pos

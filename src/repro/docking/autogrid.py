@@ -131,6 +131,58 @@ def trilinear(grid: np.ndarray, box: GridBox, coords: np.ndarray) -> np.ndarray:
     return (c0 * (1 - tz) + c1 * tz).reshape(lead_shape)
 
 
+class StackGather:
+    """Trilinear gather over per-atom map stacks, summed over atoms.
+
+    The scorers' grid term: ``stacks`` is ``(S, n_atoms, *box.shape)``,
+    ``S`` stacks of one map per ligand atom over one box, and a call
+    maps a ``(P, n_atoms, 3)`` pose batch to the ``(S, P)`` per-stack
+    sums. The fractional index, the trilinear weights and the flat
+    offsets of the eight corners are computed once per batch and shared
+    by every stack; the values come from one ``take`` on the raveled
+    stacks. Box origin, spacing and clip bound are fixed at
+    construction.
+
+    Per element the arithmetic and its order are those of a per-corner
+    fancy-indexing gather run stack by stack (x, then y, then z blends;
+    each stack's sum runs over C-ordered rows of ``n_atoms`` values), so
+    results are bit-identical to it (``tests/docking/search_oracle.py``)
+    and independent of the batch size.
+    """
+
+    def __init__(self, box: GridBox, stacks: np.ndarray) -> None:
+        if stacks.ndim != 5 or stacks.shape[2:] != box.shape:
+            raise GridError(
+                f"expected stacks of shape (S, n_atoms, *{box.shape}), "
+                f"got {stacks.shape}"
+            )
+        n_stacks, n_atoms, nx, ny, nz = stacks.shape
+        self._flat = np.ascontiguousarray(stacks).reshape(-1)
+        self._minimum = box.minimum
+        self._spacing = box.spacing
+        self._upper = np.array(box.shape) - 1.000001
+        self._strides = np.array([ny * nz, nz, 1])
+        # Corner c = 4 dx + 2 dz + dy, so the x blend pairs the two
+        # halves, the y blend pairs neighbours and the z blend comes last.
+        dx, dz, dy = np.indices((2, 2, 2)).reshape(3, 8)
+        corners = dx * ny * nz + dy * nz + dz
+        maps = np.arange(n_stacks * n_atoms).reshape(n_stacks, 1, n_atoms, 1)
+        self._offsets = maps * (nx * ny * nz) + corners  # (S, 1, n_atoms, 8)
+
+    def __call__(self, coords: np.ndarray) -> np.ndarray:
+        """``(P, n_atoms, 3)`` coordinates -> ``(S, P)`` summed values."""
+        f = (coords - self._minimum) / self._spacing
+        f = np.clip(f, 0.0, self._upper)
+        i0 = f.astype(np.intp)
+        t = f - i0
+        s = 1 - t
+        base = (i0 @ self._strides)[None, :, :, None]
+        v = self._flat.take(base + self._offsets)  # (S, P, n_atoms, 8)
+        cx = v[..., :4] * s[..., 0, None] + v[..., 4:] * t[..., 0, None]
+        cy = cx[..., ::2] * s[..., 1, None] + cx[..., 1::2] * t[..., 1, None]
+        return (cy[..., 0] * s[..., 2] + cy[..., 1] * t[..., 2]).sum(axis=-1)
+
+
 class AutoGrid:
     """Map generator (the fifth SciDock activity).
 

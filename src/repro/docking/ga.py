@@ -93,14 +93,24 @@ class LamarckianGA:
             self._batch.evaluate_batch(np.stack(vectors)), dtype=np.float64
         )
 
-    def _select(self, fitness: np.ndarray, rng: np.random.Generator) -> int:
-        """Linear-rank proportional selection (robust to energy scale)."""
-        order = np.argsort(fitness)  # ascending energy = best first
+    @staticmethod
+    def _rank_weights(order: np.ndarray) -> np.ndarray:
+        """Linear-rank selection probabilities (robust to energy scale).
+
+        ``order`` is the generation's ``argsort`` of fitness (ascending
+        energy = best first); the best individual gets weight ``n``, the
+        worst ``1``, normalized to sum to one.
+        """
         ranks = np.empty_like(order)
-        ranks[order] = np.arange(len(fitness))
-        weights = (len(fitness) - ranks).astype(np.float64)
+        ranks[order] = np.arange(len(order))
+        weights = (len(order) - ranks).astype(np.float64)
         weights /= weights.sum()
-        return int(rng.choice(len(fitness), p=weights))
+        return weights
+
+    @staticmethod
+    def _select(weights: np.ndarray, rng: np.random.Generator) -> int:
+        """One linear-rank proportional draw."""
+        return int(rng.choice(len(weights), p=weights))
 
     def _crossover(
         self, a: np.ndarray, b: np.ndarray, rng: np.random.Generator
@@ -150,10 +160,12 @@ class LamarckianGA:
             new_vectors: list[np.ndarray] = [
                 vectors[i].copy() for i in order[: cfg.elitism]
             ]
+            # Fitness is fixed while the children are bred: rank once.
+            weights = self._rank_weights(order)
             while len(new_vectors) < cfg.population_size:
-                pa = vectors[self._select(fitness, rng)]
+                pa = vectors[self._select(weights, rng)]
                 if rng.random() < cfg.crossover_rate:
-                    pb = vectors[self._select(fitness, rng)]
+                    pb = vectors[self._select(weights, rng)]
                     child = self._crossover(pa, pb, rng)
                 else:
                     child = pa.copy()

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
 
 from repro.docking.objective import supports_batch
 
@@ -105,8 +104,12 @@ def bfgs_minimize(
     """Quasi-Newton refinement (Vina's local optimizer).
 
     Gradients are finite-differenced by scipy; the conformation space is
-    small (6 + T dimensions) so this stays cheap.
+    small (6 + T dimensions) so this stays cheap. ``scipy.optimize`` is
+    imported here, not at module load: only Vina's refinement needs it,
+    and every pool worker and worker node imports this module.
     """
+    from scipy.optimize import minimize
+
     evals = 0
 
     def counted(x: np.ndarray) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.chem.molecule import Molecule
 from repro.docking import forcefield as ff
-from repro.docking.autogrid import GridMaps
+from repro.docking.autogrid import GridMaps, StackGather
 from repro.docking.neighbors import bond_separation_pairs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -105,15 +105,13 @@ class AD4Scorer:
         self.torsdof = int(ligand.metadata.get("torsdof", 0))
 
         # Per-atom collapsed map stacks; electrostatics separate only so
-        # the term breakdown stays reportable.
+        # the term breakdown stays reportable. Both are read by one gather.
         n = len(ligand.atoms)
-        shape = maps.box.shape
-        self._stack_affinity = np.empty((n, *shape))
-        self._stack_elec = np.empty((n, *shape))
+        stacks = np.empty((2, n, *maps.box.shape))
         for i, (t, q, aq) in enumerate(zip(self.types, self.charges, self.abs_charges)):
-            self._stack_affinity[i] = maps.affinity[t] + aq * maps.desolvation
-            self._stack_elec[i] = ff.FE_COEFF_ESTAT * q * maps.electrostatic
-        self._shape = np.array(shape)
+            stacks[0, i] = maps.affinity[t] + aq * maps.desolvation
+            stacks[1, i] = ff.FE_COEFF_ESTAT * q * maps.electrostatic
+        self._grid = StackGather(maps.box, stacks)
 
         # Flat intramolecular pair tables.
         pairs = self._nonbonded_pairs(ligand)
@@ -158,39 +156,11 @@ class AD4Scorer:
         """
         return bond_separation_pairs(mol, 3)
 
-    # -- grid gather -----------------------------------------------------------
-    def _gather(self, stack: np.ndarray, coords: np.ndarray) -> float:
-        """Trilinear interpolation of per-atom maps, summed over atoms."""
-        return float(self._gather_batch(stack, coords[None])[0])
-
-    def _gather_batch(self, stack: np.ndarray, coords: np.ndarray) -> np.ndarray:
-        """Batched gather: ``(P, n_atoms, 3) -> (P,)`` summed map values.
-
-        The scalar :meth:`_gather` is a batch of one, so per-pose and
-        population evaluation agree bit-for-bit.
-        """
-        f = (coords - self.maps.box.minimum) / self.maps.box.spacing
-        f = np.clip(f, 0.0, self._shape - 1.000001)
-        i0 = f.astype(np.intp)
-        t = f - i0
-        x0, y0, z0 = i0[..., 0], i0[..., 1], i0[..., 2]
-        x1, y1, z1 = x0 + 1, y0 + 1, z0 + 1
-        tx, ty, tz = t[..., 0], t[..., 1], t[..., 2]
-        n = np.arange(stack.shape[0])[None, :]
-        c00 = stack[n, x0, y0, z0] * (1 - tx) + stack[n, x1, y0, z0] * tx
-        c10 = stack[n, x0, y1, z0] * (1 - tx) + stack[n, x1, y1, z0] * tx
-        c01 = stack[n, x0, y0, z1] * (1 - tx) + stack[n, x1, y0, z1] * tx
-        c11 = stack[n, x0, y1, z1] * (1 - tx) + stack[n, x1, y1, z1] * tx
-        c0 = c00 * (1 - ty) + c10 * ty
-        c1 = c01 * (1 - ty) + c11 * ty
-        return (c0 * (1 - tz) + c1 * tz).sum(axis=1)
-
     # -- term evaluation ------------------------------------------------------
     def intermolecular(self, coords: np.ndarray) -> tuple[float, float]:
         """(vdw+hb+desolv, electrostatic) from the grids, with wall penalty."""
         coords = np.asarray(coords, dtype=np.float64)
-        affinity = self._gather(self._stack_affinity, coords)
-        elec = self._gather(self._stack_elec, coords)
+        affinity, elec = self._grid(coords[None])[:, 0].tolist()
         wall = float(self.maps.outside_penalty(coords).sum())
         return affinity + wall, elec
 
@@ -280,8 +250,7 @@ class AD4Scorer:
         Hot path: inlined to avoid building the term dataclass per call.
         """
         coords = np.asarray(coords, dtype=np.float64)
-        affinity = self._gather(self._stack_affinity, coords)
-        elec = self._gather(self._stack_elec, coords)
+        affinity, elec = self._grid(coords[None])[:, 0].tolist()
         wall = float(self.maps.outside_penalty(coords).sum())
         return affinity + elec + wall + self.intramolecular(coords) + self.torsional()
 
@@ -300,8 +269,7 @@ class AD4Scorer:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Batched grid terms: ``(vdw+hb+desolv (P,), electrostatic (P,))``."""
         coords = self._coerce_batch(coords)
-        affinity = self._gather_batch(self._stack_affinity, coords)
-        elec = self._gather_batch(self._stack_elec, coords)
+        affinity, elec = self._grid(coords)
         wall = self.maps.outside_penalty(coords).sum(axis=1)
         return affinity + wall, elec
 
@@ -312,8 +280,7 @@ class AD4Scorer:
         calls; each pose's value matches :meth:`docking_energy` exactly.
         """
         coords = self._coerce_batch(coords)
-        affinity = self._gather_batch(self._stack_affinity, coords)
-        elec = self._gather_batch(self._stack_elec, coords)
+        affinity, elec = self._grid(coords)
         wall = self.maps.outside_penalty(coords).sum(axis=1)
         return (
             affinity + elec + wall + self.intramolecular_batch(coords)

@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.chem.elements import AUTODOCK_TYPES
 from repro.chem.molecule import Molecule
+from repro.docking.autogrid import StackGather
 from repro.docking.box import GridBox
 from repro.docking.neighbors import (
     CellList,
@@ -377,7 +378,7 @@ class VinaScorer:
         )
         self._intra_rsum = self.lig_radii[ii] + self.lig_radii[jj]
         # Optional grid cache: build the per-atom map stack once.
-        self._stack: np.ndarray | None = None
+        self._grid: StackGather | None = None
         if maps is not None:
             if maps.box is not box and not (
                 np.allclose(maps.box.center, box.center)
@@ -394,8 +395,7 @@ class VinaScorer:
                         f"VinaMaps missing class {cls} for atom {a.name}"
                     )
                 stacks.append(grid)
-            self._stack = np.stack(stacks)
-            self._shape = np.array(box.shape)
+            self._grid = StackGather(box, np.stack(stacks)[None])
         # Table-kernel precomputation: per-pair row indices plus, for the
         # map-free path, a receptor cell list so pose batches only touch
         # atoms within the cutoff of each ligand atom.
@@ -406,7 +406,7 @@ class VinaScorer:
             vt = etables.vina
             if self._intra_pairs.size:
                 self._intra_rows = vt.rows_for(self._intra_rsum)
-            if self._stack is None and self.rec_coords.shape[0] > 0:
+            if self._grid is None and self.rec_coords.shape[0] > 0:
                 self._cells = CellList(self.rec_coords, cell_size=cutoff)
                 self._inter_rows = vt.rows_for(self._inter_rsum)
 
@@ -448,8 +448,8 @@ class VinaScorer:
         bounded working set.
         """
         coords = self._coerce_batch(coords)
-        if self._stack is not None:
-            return self._gather_batch(coords)
+        if self._grid is not None:
+            return self._grid(coords)[0]
         P = coords.shape[0]
         R = self.rec_coords.shape[0]
         if R == 0:
@@ -492,30 +492,6 @@ class VinaScorer:
             )
             out += np.bincount(qi // L, weights=e, minlength=P)
         return out
-
-    def _gather(self, coords: np.ndarray) -> float:
-        """Trilinear interpolation over the per-atom grid stack."""
-        return float(self._gather_batch(coords[None])[0])
-
-    def _gather_batch(self, coords: np.ndarray) -> np.ndarray:
-        """Batched stack gather: ``(P, n_atoms, 3) -> (P,)`` summed values."""
-        box = self.box
-        f = (coords - box.minimum) / box.spacing
-        f = np.clip(f, 0.0, self._shape - 1.000001)
-        i0 = f.astype(np.intp)
-        t = f - i0
-        x0, y0, z0 = i0[..., 0], i0[..., 1], i0[..., 2]
-        x1, y1, z1 = x0 + 1, y0 + 1, z0 + 1
-        tx, ty, tz = t[..., 0], t[..., 1], t[..., 2]
-        s = self._stack
-        n = np.arange(s.shape[0])[None, :]
-        c00 = s[n, x0, y0, z0] * (1 - tx) + s[n, x1, y0, z0] * tx
-        c10 = s[n, x0, y1, z0] * (1 - tx) + s[n, x1, y1, z0] * tx
-        c01 = s[n, x0, y0, z1] * (1 - tx) + s[n, x1, y0, z1] * tx
-        c11 = s[n, x0, y1, z1] * (1 - tx) + s[n, x1, y1, z1] * tx
-        c0 = c00 * (1 - ty) + c10 * ty
-        c1 = c01 * (1 - ty) + c11 * ty
-        return (c0 * (1 - tz) + c1 * tz).sum(axis=1)
 
     def intramolecular(self, coords: np.ndarray) -> float:
         coords = np.asarray(coords, dtype=np.float64)
