@@ -569,6 +569,107 @@ def test_search_overhead():
         assert speedup > 1.0, f"current search path only {speedup:.2f}x"
 
 
+def test_search_batching(monkeypatch):
+    """Whole FAST docks: sequential search loops vs lockstep / batched.
+
+    AD4's GA runs are independent, so they advance in lockstep with one
+    scorer call per round; Vina's BFGS scores each finite-difference
+    gradient (the point and its ``n`` offsets) as one batch instead of
+    ``n + 1`` scalar calls. The sequential loops are the oracle copies
+    in ``tests/docking/search_oracle.py``; every dock must be identical
+    before anything is timed. Scorer calls per dock are counted at the
+    objective's entry points (AD4 ``docking_energy_batch``, Vina
+    ``search_energy`` + ``search_energy_batch``).
+    """
+    from repro.core.scidock import FAST_AD4, FAST_VINA
+    from repro.docking import mc
+    from repro.docking.autodock import AutoDock4
+    from repro.docking.autogrid import AutoGrid
+    from repro.docking.scoring_ad4 import AD4Scorer
+    from repro.docking.scoring_vina import VinaScorer, build_vina_maps
+    from repro.docking.vina import Vina
+    from tests.docking import search_oracle as oracle
+
+    rec_prep, lig, box = _kernel_fixture()
+    ad4 = AutoDock4(AutoGrid().run(rec_prep.molecule, box, lig.atom_types), FAST_AD4)
+    vina = Vina(
+        rec_prep, box, FAST_VINA, maps=build_vina_maps(rec_prep.molecule, box)
+    )
+    seeds = range(1 if SMOKE else 3)
+    calls = 0
+
+    def counted(fn):
+        def wrapper(self, *args):
+            nonlocal calls
+            calls += 1
+            return fn(self, *args)
+        return wrapper
+
+    def run(dock, cls, methods):
+        """Results of every seed and the scorer calls per dock."""
+        nonlocal calls
+        calls = 0
+        with monkeypatch.context() as m:
+            for method in methods:
+                m.setattr(cls, method, counted(getattr(cls, method)))
+            results = [dock(seed) for seed in seeds]
+        return results, calls / len(seeds)
+
+    def oracle_vina(seed):
+        with monkeypatch.context() as m:
+            m.setattr(mc, "bfgs_minimize", oracle.bfgs_minimize)
+            return oracle.vina_dock(vina, lig, seed=seed)
+
+    variants = {
+        "ad4": (
+            lambda seed: oracle.ad4_dock(ad4, lig, seed=seed),
+            lambda seed: ad4.dock(lig, seed=seed),
+            (AD4Scorer, ("docking_energy_batch",)),
+        ),
+        "vina": (
+            oracle_vina,
+            lambda seed: vina.dock(lig, seed=seed),
+            (VinaScorer, ("search_energy", "search_energy_batch")),
+        ),
+    }
+    payload = {"seeds": len(seeds), "asserted": not SMOKE}
+    speedups = {}
+    for name, (sequential, batched, (cls, methods)) in variants.items():
+        old, old_calls = run(sequential, cls, methods)
+        new, new_calls = run(batched, cls, methods)
+        for a, b in zip(old, new):
+            assert a.evaluations == b.evaluations  # parity before timing
+            for pa, pb in zip(a.poses, b.poses):
+                assert pa.energy == pb.energy
+                assert np.array_equal(pa.coords, pb.coords)
+        sequential_s = _best_of(lambda: [sequential(s) for s in seeds], repeats=2)
+        batched_s = _best_of(lambda: [batched(s) for s in seeds], repeats=2)
+        speedups[name] = sequential_s / batched_s
+        payload[name] = {
+            "sequential_s_per_dock": round(sequential_s / len(seeds), 4),
+            "batched_s_per_dock": round(batched_s / len(seeds), 4),
+            "speedup": round(speedups[name], 2),
+            "evaluations_per_dock": sum(r.evaluations for r in new) / len(seeds),
+            "sequential_scorer_calls_per_dock": old_calls,
+            "batched_scorer_calls_per_dock": new_calls,
+        }
+    if SMOKE:
+        payload["skipped_reason"] = "REPRO_BENCH_SMOKE=1"
+    _record("search_batching", payload)
+    for name in variants:
+        row = payload[name]
+        print(
+            f"\nsearch batching, FAST {name} ({len(seeds)} seeds): "
+            f"{row['sequential_s_per_dock']} -> {row['batched_s_per_dock']} s/dock "
+            f"({row['speedup']:.2f}x), scorer calls/dock "
+            f"{row['sequential_scorer_calls_per_dock']} -> "
+            f"{row['batched_scorer_calls_per_dock']}"
+        )
+    if not SMOKE:
+        for name, speedup in speedups.items():
+            assert speedup > 1.0, f"batched {name} search only {speedup:.2f}x"
+
+
 def test_straggler_speculation():
     """TET with and without speculative re-execution of a 10x straggler.
 

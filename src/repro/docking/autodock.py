@@ -2,7 +2,9 @@
 
 Mirrors ``autodock4``'s run loop: for each of ``ga_runs`` independent GA
 runs the best individual becomes a docked conformation; poses are then
-clustered by RMSD and written to a DLG log.
+clustered by RMSD and written to a DLG log. The runs share nothing but
+the objective, so they advance in lockstep, one batched scorer call per
+round, each on its own RNG stream.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from repro.docking.autogrid import GridMaps
 from repro.docking.clustering import DEFAULT_TOLERANCE, cluster_poses
 from repro.docking.conformation import Conformation, DockingResult, Pose
 from repro.docking.ga import GAConfig, LamarckianGA
-from repro.docking.local_search import solis_wets
-from repro.docking.objective import PoseEnergyObjective
+from repro.docking.local_search import solis_wets_steps
+from repro.docking.objective import PoseEnergyObjective, run_lockstep
 from repro.docking.prepare import LigandPreparation
 from repro.docking.scoring_ad4 import AD4Scorer
 
@@ -69,9 +71,9 @@ class AutoDock4:
         tree = ligand.tree
         reference = tree.reference
 
-        # Vectorized objective: the GA scores each generation (and
-        # Solis-Wets its probe pairs) through one batched pose + grid
-        # gather instead of per-individual Python round trips.
+        # Vectorized objective: each round scores every run's pending
+        # batch (a generation, a Solis-Wets probe pair) through one
+        # batched pose + grid gather.
         objective = PoseEnergyObjective(
             tree, scorer.docking_energy_batch, kernel=scorer.kernel
         )
@@ -87,22 +89,26 @@ class AutoDock4:
         # docking receptors, whose boxes differ.
         ga_config = replace(self.params.ga, translation_extent=max(1.0, extent * 0.5))
 
-        poses: list[Pose] = []
-        total_evals = 0
-        for run in range(self.params.ga_runs):
+        def search(run: int):
             rng = np.random.default_rng((seed, run))
             ga = LamarckianGA(objective, tree.n_torsions, ga_config)
-            result = ga.run(rng, center=center_offset)
-            total_evals += result.evaluations
+            result = yield from ga.steps(rng, center=center_offset)
             # Final deep local search on the run's champion (AD4 refines
             # the best individual before reporting it).
-            refined = solis_wets(
-                objective,
+            refined = yield from solis_wets_steps(
                 result.best.vector,
                 rng,
                 max_steps=self.params.final_refine_steps,
             )
-            total_evals += refined.evaluations
+            return result, refined
+
+        outcomes = run_lockstep(
+            objective, [search(run) for run in range(self.params.ga_runs)]
+        )
+        poses: list[Pose] = []
+        total_evals = 0
+        for result, refined in outcomes:
+            total_evals += result.evaluations + refined.evaluations
             if refined.energy < result.best_energy:
                 conf = Conformation(refined.vector).normalized()
             else:

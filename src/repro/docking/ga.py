@@ -10,13 +10,13 @@ step).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Generator
 
 import numpy as np
 
 from repro.docking.conformation import Conformation
-from repro.docking.local_search import solis_wets
-from repro.docking.objective import VectorizedObjective, as_batch_objective
+from repro.docking.local_search import solis_wets_steps
+from repro.docking.objective import VectorizedObjective, run_lockstep
 
 Objective = Callable[[np.ndarray], float]
 
@@ -61,16 +61,16 @@ class GAResult:
 
 
 class LamarckianGA:
-    """The search loop. ``run`` is deterministic given the Generator.
+    """The search loop, deterministic given the Generator.
 
-    The objective may be a plain scalar callable or implement the
-    vectorized protocol (:mod:`repro.docking.objective`); either way the
-    whole population is scored through one ``evaluate_batch`` call per
-    generation, so a vectorized objective turns the fitness sweep into a
-    handful of numpy calls instead of ``population_size`` Python round
-    trips. Scalar objectives are wrapped in a loop-based adapter, which
-    performs the exact per-individual calls the old loop made — the GA
-    trajectory is identical for both forms given the same seed.
+    :meth:`steps` is the search as a step generator: it yields each
+    genotype batch it needs scored — a whole generation, then every
+    Solis-Wets start point and probe pair — and receives the energies.
+    :meth:`run` drives it on the engine's objective; AD4 drives several
+    runs' generators in lockstep instead
+    (:func:`repro.docking.objective.run_lockstep`). Scalar objectives go
+    through the loop adapter, which makes one call per genotype in
+    order, so the trajectory is the same for both forms given the seed.
     """
 
     def __init__(
@@ -80,19 +80,10 @@ class LamarckianGA:
         config: GAConfig | None = None,
     ):
         self.objective = objective
-        self._batch = as_batch_objective(objective)
         self.n_torsions = n_torsions
         self.config = config or GAConfig()
-        self._evals = 0
 
     # -- operators --------------------------------------------------------
-    def _eval_population(self, vectors: list[np.ndarray]) -> np.ndarray:
-        """Fitness of a whole generation in one batched objective call."""
-        self._evals += len(vectors)
-        return np.asarray(
-            self._batch.evaluate_batch(np.stack(vectors)), dtype=np.float64
-        )
-
     @staticmethod
     def _rank_weights(order: np.ndarray) -> np.ndarray:
         """Linear-rank selection probabilities (robust to energy scale).
@@ -141,8 +132,14 @@ class LamarckianGA:
         rng: np.random.Generator,
         center: np.ndarray | None = None,
     ) -> GAResult:
+        return run_lockstep(self.objective, [self.steps(rng, center)])[0]
+
+    def steps(
+        self,
+        rng: np.random.Generator,
+        center: np.ndarray | None = None,
+    ) -> Generator[np.ndarray, np.ndarray, GAResult]:
         cfg = self.config
-        self._evals = 0
         pop = [
             Conformation.random(
                 self.n_torsions, rng, cfg.translation_extent, center
@@ -150,11 +147,12 @@ class LamarckianGA:
             for _ in range(cfg.population_size)
         ]
         vectors = [c.vector for c in pop]
-        fitness = self._eval_population(vectors)
+        fitness = np.array((yield np.stack(vectors)), dtype=np.float64)
+        evals = len(vectors)
         history = [float(fitness.min())]
 
         for _gen in range(cfg.generations):
-            if cfg.max_evaluations is not None and self._evals >= cfg.max_evaluations:
+            if cfg.max_evaluations is not None and evals >= cfg.max_evaluations:
                 break
             order = np.argsort(fitness)
             new_vectors: list[np.ndarray] = [
@@ -172,19 +170,17 @@ class LamarckianGA:
                 child = self._mutate(child, rng)
                 new_vectors.append(Conformation(child).normalized().vector)
             vectors = new_vectors
-            fitness = self._eval_population(vectors)
+            fitness = np.array((yield np.stack(vectors)), dtype=np.float64)
+            evals += len(vectors)
 
             # Lamarckian step: local search writes back into the genotype.
             n_ls = max(1, int(cfg.local_search_rate * cfg.population_size))
             candidates = np.argsort(fitness)[:n_ls]
             for idx in candidates:
-                res = solis_wets(
-                    self.objective,
-                    vectors[idx],
-                    rng,
-                    max_steps=cfg.local_search_steps,
+                res = yield from solis_wets_steps(
+                    vectors[idx], rng, max_steps=cfg.local_search_steps
                 )
-                self._evals += res.evaluations
+                evals += res.evaluations
                 if res.energy < fitness[idx]:
                     # Write the raw optimized genotype back: normalizing
                     # here would desynchronize genotype and stored fitness
@@ -198,7 +194,7 @@ class LamarckianGA:
         return GAResult(
             best=Conformation(vectors[best_idx]).normalized(),
             best_energy=float(fitness[best_idx]),
-            evaluations=self._evals,
+            evaluations=evals,
             history=history,
             final_population=[
                 (Conformation(v).normalized(), float(f))

@@ -1,22 +1,37 @@
 """Local search operators: Solis-Wets (AD4) and BFGS (Vina).
 
 Both operate on the flat conformation vector through a user-supplied
-objective ``f(vector) -> float``; the engines close over their scorers.
-When the objective implements the vectorized protocol
-(:mod:`repro.docking.objective`), Solis-Wets evaluates the candidate
-and its mirrored probe in a single batched call per step.
+objective; the engines pass a vectorized one
+(:mod:`repro.docking.objective`), plain ``f(vector) -> float`` callables
+go through the loop adapter. Solis-Wets is a step generator
+(:func:`solis_wets_steps`) scoring each step's candidate and mirrored
+probe as one two-pose batch, so AD4 can run several of them in
+lockstep. BFGS scores each finite-difference gradient — the point and
+its ``n`` offsets — as one ``(n + 1)``-pose batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Generator
 
 import numpy as np
 
-from repro.docking.objective import supports_batch
+from repro.docking.objective import (
+    VectorizedObjective,
+    as_batch_objective,
+    run_lockstep,
+)
 
 Objective = Callable[[np.ndarray], float]
+
+#: L-BFGS-B's default absolute finite-difference step (its ``eps``).
+FD_STEP = 1e-8
+#: scipy's relative 2-point step, used where ``x + FD_STEP == x``.
+FD_REL_STEP = np.finfo(np.float64).eps ** 0.5
+#: L-BFGS-B's default ``maxfun``: the search stops at the first
+#: iteration after this many objective values (difference rows included).
+MAX_EVALUATIONS = 15000
 
 
 @dataclass
@@ -26,8 +41,7 @@ class LocalSearchResult:
     evaluations: int
 
 
-def solis_wets(
-    f: Objective,
+def solis_wets_steps(
     x0: np.ndarray,
     rng: np.random.Generator,
     *,
@@ -36,24 +50,23 @@ def solis_wets(
     rho_min: float = 0.01,
     expand_after: int = 5,
     contract_after: int = 3,
-) -> LocalSearchResult:
-    """Solis & Wets (1981) adaptive random-walk minimization.
+) -> Generator[np.ndarray, np.ndarray, LocalSearchResult]:
+    """Solis & Wets (1981) adaptive random-walk minimization, as steps.
 
     This is AD4's Lamarckian local-search operator: propose a Gaussian
     step, accept if it improves, try the mirrored step otherwise; expand
     the step size after consecutive successes, contract after consecutive
     failures, stop when ``rho`` underflows or the step budget is spent.
 
-    With a vectorized objective the candidate and its mirror are scored
-    eagerly in one two-pose batch per step (the mirror is nearly free
-    once the batch is posed). The acceptance sequence — and therefore
-    the trajectory — is identical to the lazy scalar path, and
-    ``evaluations`` keeps counting only the values the sequential rule
-    consumes, so evaluation budgets behave the same under both forms.
+    Yields the start point as a batch of one, then one ``(2, D)`` batch
+    per step: the candidate and its mirror, scored eagerly together (the
+    mirror is nearly free once the batch is posed). The acceptance
+    sequence is the lazy sequential rule's, and ``evaluations`` counts
+    only the values that rule consumes, so evaluation budgets behave as
+    if the mirror were scored on demand.
     """
-    batched = supports_batch(f)
     x = np.asarray(x0, dtype=np.float64).copy()
-    fx = float(f(x))
+    fx = float((yield x[None])[0])
     evals = 1
     successes = failures = 0
     bias = np.zeros_like(x)
@@ -62,11 +75,9 @@ def solis_wets(
             break
         step = rng.normal(scale=rho, size=x.shape) + bias
         candidate = x + step
-        if batched:
-            pair = f.evaluate_batch(np.stack([candidate, x - step]))
-            fc, fm_eager = float(pair[0]), float(pair[1])
-        else:
-            fc = float(f(candidate))
+        mirrored = x - step
+        pair = yield np.stack([candidate, mirrored])
+        fc, fm = float(pair[0]), float(pair[1])
         evals += 1
         if fc < fx:
             x, fx = candidate, fc
@@ -74,8 +85,6 @@ def solis_wets(
             successes += 1
             failures = 0
         else:
-            mirrored = x - step
-            fm = fm_eager if batched else float(f(mirrored))
             evals += 1
             if fm < fx:
                 x, fx = mirrored, fm
@@ -95,32 +104,70 @@ def solis_wets(
     return LocalSearchResult(vector=x, energy=fx, evaluations=evals)
 
 
+def solis_wets(
+    f: Objective | VectorizedObjective,
+    x0: np.ndarray,
+    rng: np.random.Generator,
+    **options,
+) -> LocalSearchResult:
+    """One Solis-Wets search on ``f``; see :func:`solis_wets_steps`."""
+    return run_lockstep(f, [solis_wets_steps(x0, rng, **options)])[0]
+
+
 def bfgs_minimize(
-    f: Objective,
+    f: Objective | VectorizedObjective,
     x0: np.ndarray,
     *,
     max_iterations: int = 40,
 ) -> LocalSearchResult:
     """Quasi-Newton refinement (Vina's local optimizer).
 
-    Gradients are finite-differenced by scipy; the conformation space is
-    small (6 + T dimensions) so this stays cheap. ``scipy.optimize`` is
-    imported here, not at module load: only Vina's refinement needs it,
-    and every pool worker and worker node imports this module.
+    L-BFGS-B with scipy's own forward-difference gradient, computed
+    here: the point and its ``n`` offset copies are scored as one
+    ``(n + 1)``-row batch, with L-BFGS-B's absolute step and scipy's
+    fallback where that step vanishes against ``|x|``. scipy counts
+    each difference row as a function evaluation and stops at the next
+    iteration once the count exceeds ``maxfun``; the callback keeps that
+    rule on rows. The result equals ``minimize(f, x0,
+    method="L-BFGS-B")`` on the scalar objective bit for bit, and
+    ``evaluations`` counts the same values.
+
+    ``scipy.optimize`` is imported here, not at module load: only
+    Vina's refinement needs it, and every pool worker and worker node
+    imports this module.
     """
     from scipy.optimize import minimize
 
+    batch = as_batch_objective(f)
+    x0 = np.asarray(x0, dtype=np.float64)
+    rows = np.arange(1, x0.size + 1)
+    cols = np.arange(x0.size)
     evals = 0
 
-    def counted(x: np.ndarray) -> float:
+    def value_and_gradient(x: np.ndarray) -> tuple[float, np.ndarray]:
         nonlocal evals
-        evals += 1
-        return f(x)
+        sign = (x >= 0).astype(float) * 2 - 1
+        h = np.where(
+            (x + FD_STEP) - x == 0,
+            FD_REL_STEP * sign * np.maximum(1.0, np.abs(x)),
+            FD_STEP,
+        )
+        points = np.repeat(x[None], x.size + 1, axis=0)
+        points[rows, cols] = x + h
+        energies = np.asarray(batch.evaluate_batch(points), dtype=np.float64)
+        evals += len(points)
+        return energies[0], (energies[1:] - energies[0]) / ((x + h) - x)
+
+    def stop_past_cap(intermediate_result) -> None:
+        if evals > MAX_EVALUATIONS:
+            raise StopIteration
 
     res = minimize(
-        counted,
-        np.asarray(x0, dtype=np.float64),
+        value_and_gradient,
+        x0,
+        jac=True,
         method="L-BFGS-B",
+        callback=stop_past_cap,
         options={"maxiter": max_iterations, "ftol": 1e-6},
     )
     return LocalSearchResult(

@@ -19,11 +19,19 @@ freely between the two forms without changing its trajectory.
 Plain functions keep working everywhere: :func:`as_batch_objective`
 wraps them in a loop-based adapter whose batch evaluation performs the
 exact per-vector calls the search would have made itself.
+
+The searches themselves are *step generators*: each yields the
+``(k, D)`` genotype batch it needs scored next, receives the ``(k,)``
+energies back through ``send`` and returns its result. They never call
+an objective, so :func:`run_lockstep` can advance several independent
+searches together — one ``evaluate_batch`` per round over the
+concatenation of everything they asked for. Each search keeps its own
+RNG and its own sequential logic; only the batching changes.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Protocol, runtime_checkable
+from typing import Any, Callable, Generator, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -32,6 +40,10 @@ from repro.docking.conformation import coords_batch
 
 #: The legacy scalar form: one genotype in, one energy out.
 Objective = Callable[[np.ndarray], float]
+
+#: A search as a step generator: yields genotype batches, is sent their
+#: energies, returns its result.
+SearchSteps = Generator[np.ndarray, np.ndarray, Any]
 
 
 @runtime_checkable
@@ -74,6 +86,45 @@ def as_batch_objective(objective: Objective | VectorizedObjective) -> Vectorized
     if supports_batch(objective):
         return objective  # type: ignore[return-value]
     return ScalarBatchAdapter(objective)
+
+
+def run_lockstep(
+    objective: Objective | VectorizedObjective, searches: list[SearchSteps]
+) -> list[Any]:
+    """Drive step generators together; returns their results in order.
+
+    Every round concatenates the batches all unfinished searches asked
+    for, scores them with one ``evaluate_batch`` and hands each search
+    its own slice. A search that returns drops out while the others go
+    on. With a single search this is the plain sequential loop.
+    """
+    batch = as_batch_objective(objective)
+    results: list[Any] = [None] * len(searches)
+    pending: dict[int, np.ndarray] = {}
+
+    def advance(i: int, energies: np.ndarray | None) -> None:
+        try:
+            request = searches[i].send(energies)
+        except StopIteration as done:
+            results[i] = done.value
+        else:
+            pending[i] = np.asarray(request, dtype=np.float64)
+
+    for i in range(len(searches)):
+        advance(i, None)
+    while pending:
+        requests = list(pending.items())
+        pending.clear()
+        energies = np.asarray(
+            batch.evaluate_batch(np.concatenate([r for _, r in requests])),
+            dtype=np.float64,
+        )
+        start = 0
+        for i, request in requests:
+            stop = start + len(request)
+            advance(i, energies[start:stop])
+            start = stop
+    return results
 
 
 class PoseEnergyObjective:

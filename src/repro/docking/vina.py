@@ -19,6 +19,7 @@ from repro.docking.box import GridBox
 from repro.docking.clustering import cluster_poses
 from repro.docking.conformation import Conformation, DockingResult, Pose
 from repro.docking.mc import ILSConfig, IteratedLocalSearch
+from repro.docking.objective import PoseEnergyObjective
 from repro.docking.prepare import LigandPreparation, ReceptorPreparation
 from repro.docking.scoring_vina import VinaScorer
 
@@ -91,9 +92,10 @@ class Vina:
         tree = ligand.tree
         reference = tree.reference
 
-        def objective(vector: np.ndarray) -> float:
-            coords = Conformation(vector).coords(tree)
-            return scorer.search_energy(coords)
+        # BFGS scores each finite-difference gradient as one batch.
+        objective = PoseEnergyObjective(
+            tree, scorer.search_energy_batch, kernel=scorer.kernel
+        )
 
         center_offset = self.box.center - reference[tree.root]
         extent = float(min(self.box.dimensions) / 2.0)
