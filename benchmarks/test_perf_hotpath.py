@@ -670,6 +670,135 @@ def test_search_batching(monkeypatch):
             assert speedup > 1.0, f"batched {name} search only {speedup:.2f}x"
 
 
+def test_prep_first_touch(monkeypatch, tmp_path):
+    """A node's first touch of a receptor or ligand: prep and map fetch.
+
+    Receptor prep (1ME4, 2P7U) and the 42-ligand library prep run
+    through the original PEOE key lookup, ring test and torsion-root
+    search (``tests/chem/prep_oracle.py``) and through the current
+    one-pass versions; charges, PDBQT text and torsion trees must be
+    identical before anything is timed. The exchange leg fetches one AD4 map
+    bundle (2P7U, 0.6 A spacing, nine maps) from a director that
+    deflates it, as a negotiated-compression director used to, and from
+    one that ships it raw; the director runs in-process, so s/bundle
+    counts both ends.
+    """
+    import zlib
+
+    from repro.chem import charges, torsions
+    from repro.chem.generate import generate_ligand, generate_receptor
+    from repro.chem.torsions import TorsionTree
+    from repro.core.activities import STANDARD_MAP_TYPES
+    from repro.core.datasets import CP_LIGANDS
+    from repro.docking.autogrid import AutoGrid, grid_maps_to_arrays
+    from repro.docking.box import GridBox
+    from repro.docking.prepare import prepare_ligand, prepare_receptor
+    from repro.workflow.distributed import Director
+    from repro.workflow.messaging import fetch_artifact
+    from tests.chem import prep_oracle as oracle
+
+    receptors = {pdb_id: generate_receptor(pdb_id) for pdb_id in ("1ME4", "2P7U")}
+    ligands = [
+        generate_ligand(lig_id) for lig_id in (CP_LIGANDS[:6] if SMOKE else CP_LIGANDS)
+    ]
+
+    def on_oracle(fn):
+        def run():
+            with monkeypatch.context() as m:
+                m.setattr(charges, "_param_keys", oracle.param_keys)
+                m.setattr(torsions, "find_rotatable_bonds", oracle.find_rotatable_bonds)
+                m.setattr(TorsionTree, "_pick_root", oracle._pick_root)
+                return fn()
+        return run
+
+    def assert_same(a, b):
+        assert a.pdbqt == b.pdbqt
+        assert np.array_equal(
+            [x.charge for x in a.molecule.atoms], [x.charge for x in b.molecule.atoms]
+        )
+        if hasattr(a, "tree"):
+            assert a.tree.root == b.tree.root
+            for ba, bb in zip(a.tree.branches, b.tree.branches, strict=True):
+                assert (ba.axis_from, ba.axis_to) == (bb.axis_from, bb.axis_to)
+                assert np.array_equal(ba.moved, bb.moved)
+
+    legs = {
+        f"receptor_{pdb_id}": lambda mol=mol: [prepare_receptor(mol)]
+        for pdb_id, mol in receptors.items()
+    }
+    legs["ligands"] = lambda: [prepare_ligand(mol) for mol in ligands]
+    payload = {"n_ligands": len(ligands), "asserted": not SMOKE}
+    speedups = {}
+    for name, current in legs.items():
+        original = on_oracle(current)
+        for a, b in zip(original(), current(), strict=True):  # parity first
+            assert_same(a, b)
+        original_s = _best_of(original)
+        current_s = _best_of(current)
+        speedups[name] = original_s / current_s
+        payload[name] = {
+            "original_s": round(original_s, 4),
+            "current_s": round(current_s, 4),
+            "speedup": round(speedups[name], 2),
+        }
+
+    mol = receptors["2P7U"]
+    box = GridBox.around_pocket(
+        np.array(mol.metadata["pocket_center"]),
+        mol.metadata["pocket_radius"],
+        spacing=0.6,
+    )
+    maps = AutoGrid().run(prepare_receptor(mol).molecule, box, STANDARD_MAP_TYPES)
+    director = Director(cache_dir=str(tmp_path / "director-cache"), compress=True)
+    director.cache.save("ad4maps", "bench", *grid_maps_to_arrays(maps))
+    blob = director.cache.blob("ad4maps", "bench")
+    serve = Director._serve_artifact
+
+    def deflating(self, conn, request):
+        conn.enable_compression(self.compress_min_bytes)
+        return serve(self, conn, request)
+
+    fetches = 2 if SMOKE else 8
+
+    def fetch_all():
+        for _ in range(fetches):
+            assert fetch_artifact(director.address, "ad4maps", "bench") == blob
+
+    try:
+        raw_s = _best_of(fetch_all) / fetches
+        with monkeypatch.context() as m:
+            m.setattr(Director, "_serve_artifact", deflating)
+            deflated_s = _best_of(fetch_all) / fetches
+    finally:
+        director.shutdown()
+    speedups["exchange"] = deflated_s / raw_s
+    payload["exchange"] = {
+        "bundle_mib": round(len(blob) / 2**20, 2),
+        "deflate_ratio": round(len(blob) / len(zlib.compress(blob)), 3),
+        "deflated_s_per_bundle": round(deflated_s, 4),
+        "raw_s_per_bundle": round(raw_s, 4),
+        "speedup": round(speedups["exchange"], 2),
+    }
+    if SMOKE:
+        payload["skipped_reason"] = "REPRO_BENCH_SMOKE=1"
+    _record("prep_first_touch", payload)
+    for name in legs:
+        row = payload[name]
+        print(
+            f"\nfirst touch, {name}: {row['original_s']} -> {row['current_s']} s "
+            f"({row['speedup']:.2f}x)"
+        )
+    row = payload["exchange"]
+    print(
+        f"\nfirst touch, {row['bundle_mib']} MiB bundle fetch: deflated "
+        f"{row['deflated_s_per_bundle']} -> raw {row['raw_s_per_bundle']} s/bundle "
+        f"({row['speedup']:.2f}x; deflate ratio {row['deflate_ratio']})"
+    )
+    if not SMOKE:
+        for name, speedup in speedups.items():
+            assert speedup > 1.0, f"first-touch {name} only {speedup:.2f}x"
+
+
 def test_straggler_speculation():
     """TET with and without speculative re-execution of a 10x straggler.
 

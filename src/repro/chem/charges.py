@@ -51,24 +51,26 @@ _FIXED_METAL_CHARGES = {
 _DAMPING = 0.5  # Gasteiger's (1/2)^n damping factor per iteration
 
 
-def _param_key(mol: Molecule, idx: int) -> str:
-    atom = mol.atoms[idx]
-    el = atom.element
-    if el in ("H", "F", "CL", "BR", "I", "P"):
-        return el
-    if el in ("C", "N"):
-        if atom.aromatic:
-            return f"{el}.ar"
-        has_multiple = any(
-            b.order >= 2 and idx in (b.i, b.j) for b in mol.bonds
-        )
-        return f"{el}.2" if has_multiple else f"{el}.3"
-    if el == "O":
-        has_double = any(b.order == 2 and idx in (b.i, b.j) for b in mol.bonds)
-        return "O.2" if has_double else "O.3"
-    if el == "S":
-        return "S.3"
-    return el
+def _param_keys(mol: Molecule) -> list[str]:
+    """PEOE parameter key per atom, from one pass over the bonds."""
+    max_order = [0] * len(mol.atoms)
+    has_double = [False] * len(mol.atoms)
+    for b in mol.bonds:
+        for k in (b.i, b.j):
+            max_order[k] = max(max_order[k], b.order)
+            has_double[k] = has_double[k] or b.order == 2
+    keys = []
+    for atom, order, double in zip(mol.atoms, max_order, has_double):
+        el = atom.element
+        if el in ("C", "N"):
+            hybrid = "ar" if atom.aromatic else "2" if order >= 2 else "3"
+            el = f"{el}.{hybrid}"
+        elif el == "O":
+            el = "O.2" if double else "O.3"
+        elif el == "S":
+            el = "S.3"
+        keys.append(el)
+    return keys
 
 
 def assign_gasteiger_charges(
@@ -84,7 +86,7 @@ def assign_gasteiger_charges(
     if n == 0:
         return np.zeros(0)
     charges = np.zeros(n, dtype=np.float64)
-    keys = [_param_key(mol, i) for i in range(n)]
+    keys = _param_keys(mol)
     a = np.empty(n)
     b = np.empty(n)
     c = np.empty(n)

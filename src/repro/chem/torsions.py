@@ -18,24 +18,21 @@ from repro.chem.geometry import quaternion_to_matrix_batch, rodrigues_batch
 from repro.chem.molecule import Molecule
 
 
-def _in_ring(mol: Molecule, i: int, j: int) -> bool:
-    """True when edge (i, j) lies on a cycle (removal keeps i-j connected)."""
+def _reachable(mol: Molecule, start: int, cut: tuple[int, ...] = ()) -> set[int]:
+    """Atoms connected to ``start`` once bond ``cut`` is removed."""
     adj = mol.adjacency
-    seen = {i}
-    stack = [i]
+    cut_edge = set(cut)
+    seen = {start}
+    stack = [start]
     while stack:
         v = stack.pop()
         for w in adj[v]:
-            if v == i and w == j:
-                continue  # skip the bond itself
-            if (v, w) == (i, j) or (v, w) == (j, i):
+            if {v, w} == cut_edge:
                 continue
-            if w == j:
-                return True
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return False
+    return seen
 
 
 def find_rotatable_bonds(mol: Molecule) -> list[tuple[int, int]]:
@@ -64,8 +61,8 @@ def find_rotatable_bonds(mol: Molecule) -> list[tuple[int, int]]:
             continue
         if _is_amide(mol, b.i, b.j) or _is_amide(mol, b.j, b.i):
             continue
-        if _in_ring(mol, b.i, b.j):
-            continue
+        if b.j in _reachable(mol, b.i, (b.i, b.j)):
+            continue  # ring bond
         rotatable.append((b.i, b.j))
     return rotatable
 
@@ -126,11 +123,22 @@ class TorsionTree:
         candidates = heavy or list(range(len(self.mol.atoms)))
         if not self.rotatable:
             return candidates[0]
+        # Cutting bond (i, j) leaves the side holding i and the side
+        # holding j (one and the same set for a ring bond). A candidate
+        # keeps its side and sees the rest as distal; a candidate on
+        # neither side lies in another fragment, which the cut leaves whole.
+        cuts = []
+        for i, j in self.rotatable:
+            near = _reachable(self.mol, i, (i, j))
+            far = near if j in near else _reachable(self.mol, j, (i, j))
+            cuts.append((near, far))
+        n = len(self.mol.atoms)
         best, best_cost = candidates[0], float("inf")
         for cand in candidates:
-            cost = max(
-                (len(self._distal_set(i, j, cand)) for i, j in self.rotatable),
-                default=0,
+            cost = n - min(
+                len(near if cand in near else far if cand in far
+                    else _reachable(self.mol, cand))
+                for near, far in cuts
             )
             if cost < best_cost:
                 best, best_cost = cand, cost
@@ -138,19 +146,7 @@ class TorsionTree:
 
     def _distal_set(self, i: int, j: int, root: int) -> set[int]:
         """Atoms on the far side of bond (i, j) as seen from ``root``."""
-        adj = self.mol.adjacency
-        # BFS from root avoiding the (i, j) edge; unreachable atoms move.
-        seen = {root}
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if {v, w} == {i, j}:
-                    continue
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return set(range(len(self.mol.atoms))) - seen
+        return set(range(len(self.mol.atoms))) - _reachable(self.mol, root, (i, j))
 
     def _build_branches(self) -> list[Branch]:
         branches: list[Branch] = []

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.chem.geometry import rmsd
 from repro.chem.molecule import Molecule
+from repro.chem.torsions import TorsionTree
 from repro.docking.box import GridBox
 from repro.docking.clustering import cluster_poses
 from repro.docking.conformation import Conformation, DockingResult, Pose
@@ -90,14 +91,13 @@ class Vina:
             etables=self.etables,
         )
         tree = ligand.tree
-        reference = tree.reference
 
         # BFGS scores each finite-difference gradient as one batch.
         objective = PoseEnergyObjective(
             tree, scorer.search_energy_batch, kernel=scorer.kernel
         )
 
-        center_offset = self.box.center - reference[tree.root]
+        center_offset = self.box.center - tree.reference[tree.root]
         extent = float(min(self.box.dimensions) / 2.0)
 
         # Copy the config: self.params.ils may be shared across
@@ -115,22 +115,7 @@ class Vina:
             total_evals += result.evaluations
             candidates.extend(result.minima)
 
-        # Rank by the *reported* affinity (normalized intermolecular part).
-        scored: list[Pose] = []
-        for conf, _search_e in candidates:
-            coords = conf.coords(tree)
-            affinity = scorer.total(coords)
-            scored.append(
-                Pose(
-                    conformation=conf,
-                    coords=coords,
-                    energy=affinity,
-                    intermolecular=affinity,
-                    intramolecular=scorer.intramolecular(coords),
-                    rmsd_from_input=rmsd(coords, reference),
-                )
-            )
-        scored.sort()
+        scored = rank_minima(scorer, tree, [conf for conf, _ in candidates])
         # Mode filtering: keep poses separated by rmsd_filter, within
         # energy_range of the best, up to num_modes.
         modes: list[Pose] = []
@@ -156,3 +141,25 @@ class Vina:
             runtime_seconds=time.perf_counter() - started,
             seed=seed,
         )
+
+
+def rank_minima(
+    scorer: VinaScorer, tree: TorsionTree, minima: list[Conformation]
+) -> list[Pose]:
+    """Poses for the search minima, ranked by the *reported* affinity
+    (normalized intermolecular part); one batched call per score term."""
+    coords = [conf.coords(tree) for conf in minima]
+    stacked = np.stack(coords)
+    affinities = scorer.total_batch(stacked).tolist()
+    intra = scorer.intramolecular_batch(stacked).tolist()
+    return sorted(
+        Pose(
+            conformation=conf,
+            coords=xyz,
+            energy=affinity,
+            intermolecular=affinity,
+            intramolecular=e_intra,
+            rmsd_from_input=rmsd(xyz, tree.reference),
+        )
+        for conf, xyz, affinity, e_intra in zip(minima, coords, affinities, intra)
+    )

@@ -71,9 +71,6 @@ class PlaneHandle:
     #: ``(host, port)`` of a director-served artifact exchange: disk-cache
     #: misses try a network fetch before falling back to a local build.
     exchange: tuple | None = None
-    #: Ask the exchange for zlib-deflated ARTIFACT_DATA frames (set by
-    #: the worker when the director negotiated frame compression).
-    compress: bool = False
 
 
 # -- cross-process locking ---------------------------------------------------
@@ -260,11 +257,7 @@ class ArtifactPlane:
 
             from repro.workflow.messaging import fetch_artifact
 
-            fetch = partial(
-                fetch_artifact,
-                tuple(handle.exchange),
-                compress=handle.compress,
-            )
+            fetch = partial(fetch_artifact, tuple(handle.exchange))
         self.disk = (
             DiskMapCache(handle.map_cache_dir, fetch=fetch)
             if handle.map_cache_dir
@@ -281,14 +274,13 @@ class ArtifactPlane:
         scratch_root: str | None = None,
         map_cache_dir: str | None = None,
         exchange: tuple | None = None,
-        compress: bool = False,
     ) -> "ArtifactPlane":
         run_id = run_id or uuid.uuid4().hex
         scratch = tempfile.mkdtemp(
             prefix=f"repro-plane-{run_id[:8]}-", dir=scratch_root
         )
         return cls(
-            PlaneHandle(scratch, run_id, map_cache_dir, exchange, compress),
+            PlaneHandle(scratch, run_id, map_cache_dir, exchange),
             owner=True,
         )
 

@@ -627,8 +627,8 @@ class Director:
         payload = request.payload if isinstance(request.payload, dict) else {}
         kind = str(payload.get("kind", ""))
         key = str(payload.get("key", ""))
-        if self.compress and payload.get("compress"):
-            conn.enable_compression(self.compress_min_bytes)
+        # Bundles ship raw whatever the request asks: an .npz of float64
+        # maps deflates by ~4 % for ~0.1 s of director CPU per 2.5 MiB.
         blob = self.cache.blob(kind, key) if self.cache is not None else None
         with self._lock:
             self.artifact_requests += 1

@@ -519,16 +519,12 @@ def fetch_artifact(
     kind: str,
     key: str,
     timeout: float = 30.0,
-    compress: bool = False,
 ) -> bytes | None:
     """Content-addressed artifact-exchange client: fetch one bundle.
 
     Opens a short-lived framed connection to the director's exchange,
     asks for the ``(kind, key)`` bundle, and returns its raw bytes (an
     ``.npz`` file image) or ``None`` when the director doesn't have it.
-    ``compress`` advertises that the caller accepts zlib-deflated
-    ARTIFACT_DATA frames (a per-frame flag the receive path always
-    honors, so this only saves wire bytes — it never changes results).
     Any transport failure degrades to a miss — the caller's map cache
     falls through to building the artifact locally.
     """
@@ -538,10 +534,7 @@ def fetch_artifact(
         return None
     try:
         conn.sock.settimeout(timeout)
-        conn.send(
-            MessageTag.ARTIFACT_REQUEST,
-            {"kind": kind, "key": key, "compress": bool(compress)},
-        )
+        conn.send(MessageTag.ARTIFACT_REQUEST, {"kind": kind, "key": key})
         reply = conn.recv()
     except (OSError, MessagingError):
         return None

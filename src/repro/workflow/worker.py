@@ -192,8 +192,7 @@ class WorkerNode:
         batch = payload.get("batch") if isinstance(payload.get("batch"), dict) else {}
         self._batch_size = max(1, int(batch.get("size", 1)))
         self._linger = max(0.0, float(batch.get("linger", 0.0)))
-        compress = bool(payload.get("compress"))
-        if compress:
+        if payload.get("compress"):
             # Negotiated at HELLO: our sends compress too (the director's
             # receive path always honors the per-frame flag).
             self.conn.enable_compression()
@@ -206,7 +205,6 @@ class WorkerNode:
             self.plane = ArtifactPlane.create(
                 map_cache_dir=cache_dir,
                 exchange=tuple(exchange) if exchange else None,
-                compress=compress,
             )
         context = shipped
         context["artifact_plane"] = self.plane.handle

@@ -19,7 +19,9 @@ per difference point), and the ``AutoDock4.dock`` (GA runs one after
 another) and ``Vina.dock`` (scalar closure objective) bodies as
 ``ad4_dock``/``vina_dock``. They too are verbatim; the step-generator
 searches, the lockstep driver and the batched gradient must reproduce
-them bit for bit.
+them bit for bit. ``vina_rank_minima`` is ``vina_dock``'s ranking loop on
+its own (one scalar ``total`` and ``intramolecular`` call per minimum),
+the reference for the batched ``repro.docking.vina.rank_minima``.
 """
 
 from __future__ import annotations
@@ -626,3 +628,28 @@ def vina_dock(self: Vina, ligand: LigandPreparation, seed: int = 0) -> DockingRe
         runtime_seconds=time.perf_counter() - started,
         seed=seed,
     )
+
+
+def vina_rank_minima(
+    scorer: VinaScorer, tree: TorsionTree, minima: list[Conformation]
+) -> list[Pose]:
+    """``vina_dock``'s ranking loop, verbatim apart from its arguments."""
+    reference = tree.reference
+    candidates = [(conf, None) for conf in minima]
+    # Rank by the *reported* affinity (normalized intermolecular part).
+    scored: list[Pose] = []
+    for conf, _search_e in candidates:
+        coords = conf.coords(tree)
+        affinity = scorer.total(coords)
+        scored.append(
+            Pose(
+                conformation=conf,
+                coords=coords,
+                energy=affinity,
+                intermolecular=affinity,
+                intramolecular=scorer.intramolecular(coords),
+                rmsd_from_input=rmsd(coords, reference),
+            )
+        )
+    scored.sort()
+    return scored

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core.scidock import FAST_AD4, FAST_VINA
-from repro.docking import mc
+from repro.docking import mc, vina
 from repro.docking.autodock import AD4Parameters, AutoDock4
 from repro.docking.flex import FlexibleVina
 from repro.docking.ga import GAConfig, LamarckianGA
@@ -53,13 +53,20 @@ LONG_REFINE_AD4 = AD4Parameters(
 )
 
 
-def _assert_same_dock(a, b):
-    assert a.evaluations == b.evaluations
-    assert len(a.poses) == len(b.poses)
-    for pa, pb in zip(a.poses, b.poses):
+def _assert_same_poses(a, b):
+    assert len(a) == len(b)
+    for pa, pb in zip(a, b):
         assert pa.energy == pb.energy
+        assert pa.intermolecular == pb.intermolecular
+        assert pa.intramolecular == pb.intramolecular
         assert pa.rmsd_from_input == pb.rmsd_from_input
         assert np.array_equal(pa.coords, pb.coords)
+        assert np.array_equal(pa.conformation.vector, pb.conformation.vector)
+
+
+def _assert_same_dock(a, b):
+    assert a.evaluations == b.evaluations
+    _assert_same_poses(a.poses, b.poses)
 
 
 @pytest.fixture(scope="module")
@@ -306,6 +313,30 @@ class TestVinaBatchedGradient:
         monkeypatch.setattr(mc, "bfgs_minimize", oracle.bfgs_minimize)
         old = oracle.vina_dock(engine, prepared_ligand, seed=seed)
         _assert_same_dock(new, old)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_batched_ranking_matches_scalar_loop(
+        self, prepared_receptor, pocket_box, prepared_ligand, vina_maps,
+        monkeypatch, seed,
+    ):
+        """All minima of a dock ranked with one batched call per score
+        term equal the scalar per-pose loop, pose for pose."""
+        calls = []
+        rank = vina.rank_minima
+
+        def spy(scorer, tree, minima):
+            calls.append((scorer, tree, minima))
+            return rank(scorer, tree, minima)
+
+        monkeypatch.setattr(vina, "rank_minima", spy)
+        engine = Vina(prepared_receptor, pocket_box, FAST_VINA, maps=vina_maps)
+        engine.dock(prepared_ligand, seed=seed)
+        [(scorer, tree, minima)] = calls
+        assert len(minima) > 1
+        _assert_same_poses(
+            rank(scorer, tree, minima),
+            oracle.vina_rank_minima(scorer, tree, minima),
+        )
 
     def test_flexible_vina_identical(
         self, prepared_receptor, pocket_box, prepared_ligand, monkeypatch

@@ -15,20 +15,28 @@ Three acceptance properties of the director/worker execution plane:
 
 import importlib.util
 import os
+import pickle
 import signal
+import socket
 import sqlite3
 import subprocess
 import sys
 import threading
 import time
+import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.provenance.store import ProvenanceStore
+from repro.workflow import messaging
 from repro.workflow.activity import Activity, Operator, Workflow
+from repro.workflow.artifacts import ArtifactPlane
+from repro.workflow.distributed import Director
 from repro.workflow.engine import LocalEngine
 from repro.workflow.journal import replay_journal
+from repro.workflow.messaging import MessageTag
 from repro.workflow.relation import Relation
 
 _HERE = Path(__file__).resolve().parent
@@ -543,6 +551,90 @@ class TestBatchedGoldenParity:
             assert "result_batches_sent" in stats
             assert "bytes_saved_sent" in stats
             assert "frames_compressed_sent" in stats
+
+
+class TestRawBundleExchange:
+    """Map bundles ship raw on ARTIFACT_DATA frames, even to a node that
+    negotiated zlib at HELLO: deflating an ``.npz`` of float64 maps buys
+    a few percent of wire bytes for ~0.1 s of director CPU per bundle.
+    Task/result frames keep their negotiated compression."""
+
+    KIND, KEY = "vina", "0123456789abcdef" * 2
+
+    @pytest.fixture
+    def director(self, tmp_path):
+        director = Director(cache_dir=str(tmp_path / "director-cache"), compress=True)
+        # A smooth grid deflates well: a compressing sender would flag it.
+        maps = np.tile(np.linspace(-1.0, 1.0, 40), 5 * 40 * 40).reshape(5, 40, 40, 40)
+        director.cache.save(self.KIND, self.KEY, {"probe": "C_A"}, {"maps": maps})
+        blob = director.cache.blob(self.KIND, self.KEY)
+        assert len(zlib.compress(blob)) < len(blob) // 2
+        try:
+            yield director
+        finally:
+            director.shutdown()
+
+    def test_negotiated_node_fetches_raw_bundle(
+        self, director, tmp_path, monkeypatch
+    ):
+        node = messaging.connect(director.address, timeout=5.0)
+        node.send(
+            MessageTag.HELLO, {"node_id": "raw-node", "slots": 1, "compress": True}
+        )
+        deadline = time.monotonic() + 5.0
+        while not director._nodes and time.monotonic() < deadline:
+            time.sleep(0.01)
+        [session] = director._nodes.values()
+        assert session.compress and session.conn.compress
+
+        frames = []
+        recv = messaging.recv_frame
+
+        def spy(sock, **kwargs):
+            got = recv(sock, **kwargs)
+            if got is not None:
+                frames.append((got[0].tag, got[1], got[2]))
+            return got
+
+        monkeypatch.setattr(messaging, "recv_frame", spy)
+        plane = ArtifactPlane.create(
+            map_cache_dir=str(tmp_path / "node-cache"), exchange=director.address
+        )
+        try:
+            assert plane.disk.load(self.KIND, self.KEY) is not None
+            assert plane.disk.fetches == 1
+            with open(plane.disk._path(self.KIND, self.KEY), "rb") as fh:
+                assert fh.read() == director.cache.blob(self.KIND, self.KEY)
+        finally:
+            plane.destroy()
+            node.close()
+        # A raw frame inflates to exactly its wire size (no FLAG_ZLIB).
+        [(wire, raw)] = [
+            (wire, raw)
+            for tag, wire, raw in frames
+            if tag is MessageTag.ARTIFACT_DATA
+        ]
+        assert wire == raw
+        assert director.artifact_hits == 1
+
+    def test_request_asking_for_compression_gets_raw_frame(self, director):
+        """Older nodes still send ``"compress": True``; it is ignored."""
+        request = messaging.Message(
+            MessageTag.ARTIFACT_REQUEST,
+            0,
+            0,
+            {"kind": self.KIND, "key": self.KEY, "compress": True},
+            1,
+        )
+        with socket.create_connection(director.address, timeout=5.0) as sock:
+            messaging.send_frame(sock, request)
+            header = messaging._recv_exact(sock, messaging.FRAME_HEADER.size)
+            length, flags = messaging.FRAME_HEADER.unpack(header)
+            body = messaging._recv_exact(sock, length)
+        assert not flags & messaging.FLAG_ZLIB
+        reply = pickle.loads(body)
+        assert reply.tag is MessageTag.ARTIFACT_DATA
+        assert reply.payload["blob"] == director.cache.blob(self.KIND, self.KEY)
 
 
 class TestBatchedNodeLoss:
