@@ -372,81 +372,20 @@ def _kernel_fixture():
     return rec_prep, lig, box
 
 
-def test_kernel_table_scoring():
-    """Population scoring through table kernels vs the analytic sweep.
-
-    The map-free Vina scorer is the purest pairwise hot path: every pose
-    batch evaluates ligand-x-receptor analytic terms. Table mode replaces
-    the exp/clip expressions with row interpolation and the dense
-    distance tensor with a cell-list gather.
-    """
-    from repro.docking.etables import shared_etables
-    from repro.docking.scoring_vina import VinaScorer
-
-    rec_prep, lig, box = _kernel_fixture()
-    etables = shared_etables()
-    analytic = VinaScorer(rec_prep.molecule, lig.molecule, box)
-    tables = VinaScorer(
-        rec_prep.molecule, lig.molecule, box, etables=etables
-    )
-
-    population = 32 if SMOKE else 128
-    L = len(lig.molecule.atoms)
-    rng = np.random.default_rng(0)
-    base = lig.molecule.coords - lig.molecule.coords.mean(axis=0) + box.center
-    batch = base[None] + rng.normal(0.0, 1.5, size=(population, L, 3))
-
-    ea = analytic.search_energy_batch(batch)
-    et = tables.search_energy_batch(batch)
-    # Parity before timing: documented tolerance |dE| <= 2e-3 + 2% |E|.
-    assert (np.abs(ea - et) <= 2e-3 + 2e-2 * np.abs(ea)).all()
-
-    analytic_s = _best_of(lambda: analytic.search_energy_batch(batch))
-    tables_s = _best_of(lambda: tables.search_energy_batch(batch))
-    speedup = analytic_s / tables_s
-
-    payload = {
-        "population": population,
-        "ligand_atoms": L,
-        "receptor_atoms": int(analytic.rec_coords.shape[0]),
-        "analytic_s": analytic_s,
-        "tables_s": tables_s,
-        "speedup": round(speedup, 2),
-        "asserted": not SMOKE,
-    }
-    if SMOKE:
-        payload["skipped_reason"] = "REPRO_BENCH_SMOKE=1"
-    _record("kernel_tables", payload)
-    print(
-        f"\nkernel tables ({population} poses x {L} atoms): "
-        f"analytic {analytic_s * 1e3:.1f} ms, "
-        f"tables {tables_s * 1e3:.1f} ms -> {speedup:.2f}x"
-    )
-    if not SMOKE:
-        assert speedup > 1.0, f"table kernel only {speedup:.2f}x"
-
-
 def test_map_build_pruning():
-    """AutoGrid cold map build: both pruned kernels vs the full sweep.
+    """AutoGrid cold map build: the pruned build vs the full sweep.
 
     The per-receptor setup cost the campaign amortizes over 42 ligands —
     the paper's preparation-phase argument. The full sweep is the dense
     ``(points x atoms)`` oracle the tests keep; the analytic build
-    enumerates only in-cutoff (point, atom) pairs and must reproduce its
-    maps bit for bit, and the tables build also reads energies from
-    lookup rows. Both must beat the full sweep; the analytic-vs-tables
-    ratio is recorded, not asserted.
+    enumerates only in-cutoff (point, atom) pairs, must reproduce its
+    maps bit for bit and must beat it.
     """
     from repro.docking.autogrid import AutoGrid
-    from repro.docking.etables import shared_etables
     from tests.docking.dense_maps import DenseAutoGrid
 
     rec_prep, lig, box = _kernel_fixture()
     types = lig.atom_types if SMOKE else ("C", "A", "N", "NA", "OA", "SA", "HD")
-    etables = shared_etables()
-    # Warm the table rows so the benchmark isolates the per-build cost
-    # (the rows are built once per process and shared by every receptor).
-    AutoGrid(etables=etables).run(rec_prep.molecule, box, types)
 
     full_sweep_s = _best_of(
         lambda: DenseAutoGrid().run(rec_prep.molecule, box, types)
@@ -454,30 +393,20 @@ def test_map_build_pruning():
     analytic_s = _best_of(
         lambda: AutoGrid().run(rec_prep.molecule, box, types)
     )
-    tables_s = _best_of(
-        lambda: AutoGrid(etables=etables).run(rec_prep.molecule, box, types)
-    )
 
     analytic_speedup = full_sweep_s / analytic_s
-    tables_speedup = full_sweep_s / tables_s
 
     maps_d = DenseAutoGrid().run(rec_prep.molecule, box, types)
     maps_a = AutoGrid().run(rec_prep.molecule, box, types)
-    maps_t = AutoGrid(etables=etables).run(rec_prep.molecule, box, types)
     for t in maps_a.affinity:
         assert np.array_equal(maps_a.affinity[t], maps_d.affinity[t]), t
-        err = np.abs(maps_a.affinity[t] - maps_t.affinity[t])
-        assert (err <= 2e-2 + 2e-2 * np.abs(maps_a.affinity[t])).all(), t
 
     payload = {
         "grid_points": int(np.prod(box.shape)),
         "map_types": len(types),
         "full_sweep_s": full_sweep_s,
         "analytic_s": analytic_s,
-        "tables_s": tables_s,
         "analytic_speedup": round(analytic_speedup, 2),
-        "tables_speedup": round(tables_speedup, 2),
-        "analytic_over_tables": round(analytic_s / tables_s, 2),
         "asserted": not SMOKE,
     }
     if SMOKE:
@@ -486,12 +415,10 @@ def test_map_build_pruning():
     print(
         f"\nmap build pruning ({payload['grid_points']} points, "
         f"{len(types)} maps): full sweep {full_sweep_s * 1e3:.0f} ms, "
-        f"analytic {analytic_s * 1e3:.0f} ms ({analytic_speedup:.2f}x), "
-        f"tables {tables_s * 1e3:.0f} ms ({tables_speedup:.2f}x)"
+        f"analytic {analytic_s * 1e3:.0f} ms ({analytic_speedup:.2f}x)"
     )
     if not SMOKE:
         assert analytic_speedup > 1.0, f"analytic build only {analytic_speedup:.2f}x"
-        assert tables_speedup > 1.0, f"tables build only {tables_speedup:.2f}x"
 
 
 def test_search_overhead():

@@ -51,9 +51,6 @@ def _exec_kwargs(args: argparse.Namespace) -> dict:
         "inject_failure_rate": args.inject_failure_rate,
         "pipeline": args.pipeline,
         "scheduler": args.scheduler,
-        "etables": args.etables,
-        "etable_dr": args.etable_dr,
-        "etable_rmax": args.etable_rmax,
         "speculation_quantile": args.speculation_quantile,
         "cost_prior": args.cost_prior,
         "elastic_pool": args.elastic_pool,
@@ -304,25 +301,6 @@ def _add_exec_args(parser: argparse.ArgumentParser) -> None:
         "--scheduler", choices=("fifo", "greedy"), default="fifo",
         help="dispatch-order policy: fifo (arrival order) or greedy "
         "(longest expected activation first)",
-    )
-    parser.add_argument(
-        "--etables", dest="etables", action="store_true", default=False,
-        help="table-driven energy kernels + cell-list neighbor pruning "
-        "(faster map builds and pair sums; matches the analytic kernels "
-        "within documented tolerance)",
-    )
-    parser.add_argument(
-        "--no-etables", dest="etables", action="store_false",
-        help="analytic reference kernels (default; bit-exact seed scoring)",
-    )
-    parser.add_argument(
-        "--etable-dr", type=float, default=0.005, metavar="ANGSTROM",
-        help="radial resolution of the energy lookup tables (default 0.005)",
-    )
-    parser.add_argument(
-        "--etable-rmax", type=float, default=8.0, metavar="ANGSTROM",
-        help="table extent / nonbonded cutoff for the table kernels "
-        "(default 8.0); part of the map-cache key",
     )
     parser.add_argument(
         "--speculation-quantile", type=float, default=1.0, metavar="Q",

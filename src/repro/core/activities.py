@@ -49,7 +49,6 @@ from repro.docking.autogrid import (
     write_fld_file,
 )
 from repro.docking.box import GridBox
-from repro.docking.etables import EtableConfig, shared_etables
 from repro.docking.forcefield import FF_VERSION
 from repro.docking.dlg import write_dlg, write_vina_log
 from repro.docking.prepare import (
@@ -309,58 +308,23 @@ def _box_for(rec_id: str, context: dict, caches: dict) -> GridBox:
     return GridBox.around_pocket(center, radius, spacing=spacing)
 
 
-def _etables_for(context: dict):
-    """The run's shared :class:`EtableSet`, or ``None`` in analytic mode.
-
-    Reads the ``kernel``/``etable_*`` context keys the CLI sets; the
-    process-wide registry means workers rebuilding scorers per activation
-    share one table set per config.
-    """
-    if context.get("kernel") != "tables":
-        return None
-    return shared_etables(
-        EtableConfig(
-            dr=float(context.get("etable_dr", EtableConfig().dr)),
-            r_max=float(context.get("etable_rmax", EtableConfig().r_max)),
-        )
-    )
-
-
-def _map_version(context: dict, base: str) -> str:
-    """Cache-key version string: the FF fingerprint, kernel-extended.
-
-    Analytic mode keeps the bare fingerprint (existing caches still hit);
-    tables mode appends resolution + cutoff so flipping either misses.
-    """
-    et = _etables_for(context)
-    return base if et is None else et.config.fingerprint(base)
-
-
 def _grid_maps_for(rec_id: str, context: dict, caches: dict):
     """Per-receptor AutoGrid maps via memo -> plane/shm -> disk -> build."""
 
     def assemble():
         rec_prep = _receptor_prep(rec_id, caches)
         box = _box_for(rec_id, context, caches)
-        et = _etables_for(context)
         store = _map_store(context)
         if store is None:
             _note_map_event("ad4", rec_id, "built")
-            return AutoGrid(etables=et).run(
-                rec_prep.molecule, box, STANDARD_MAP_TYPES
-            )
+            return AutoGrid().run(rec_prep.molecule, box, STANDARD_MAP_TYPES)
 
         def build_bundle():
-            maps = AutoGrid(etables=et).run(
-                rec_prep.molecule, box, STANDARD_MAP_TYPES
-            )
+            maps = AutoGrid().run(rec_prep.molecule, box, STANDARD_MAP_TYPES)
             return grid_maps_to_arrays(maps)
 
         key = _bundle_key(
-            rec_prep.pdbqt,
-            box,
-            ("ad4",) + STANDARD_MAP_TYPES,
-            _map_version(context, FF_VERSION),
+            rec_prep.pdbqt, box, ("ad4",) + STANDARD_MAP_TYPES, FF_VERSION
         )
         meta, arrays, source = store.get_or_build(
             "ad4maps", key, build_bundle, label=rec_id
@@ -377,14 +341,13 @@ def _vina_maps_for(rec_id: str, context: dict, caches: dict):
     def assemble():
         rec_prep = _receptor_prep(rec_id, caches)
         box = _box_for(rec_id, context, caches)
-        et = _etables_for(context)
         store = _map_store(context)
         if store is None:
             _note_map_event("vina", rec_id, "built")
-            return build_vina_maps(rec_prep.molecule, box, etables=et)
+            return build_vina_maps(rec_prep.molecule, box)
 
         def build_bundle():
-            vmaps = build_vina_maps(rec_prep.molecule, box, etables=et)
+            vmaps = build_vina_maps(rec_prep.molecule, box)
             return vina_maps_to_arrays(vmaps)
 
         classes = tuple(
@@ -392,10 +355,7 @@ def _vina_maps_for(rec_id: str, context: dict, caches: dict):
             for c in STANDARD_CLASSES
         )
         key = _bundle_key(
-            rec_prep.pdbqt,
-            box,
-            ("vina",) + classes,
-            _map_version(context, VINA_FF_VERSION),
+            rec_prep.pdbqt, box, ("vina",) + classes, VINA_FF_VERSION
         )
         meta, arrays, source = store.get_or_build(
             "vinamaps", key, build_bundle, label=rec_id
@@ -490,19 +450,16 @@ def docking(tup: dict, context: dict) -> list[dict]:
     seed = int(context.get("seed", 0)) + int.from_bytes(pair_digest[:3], "little")
     pocket_center, pocket_radius = _pocket_for(rec_id, caches)
 
-    et = _etables_for(context)
     if engine_name == "autodock4":
         maps = _grid_maps_for(rec_id, context, caches)
-        engine = AutoDock4(maps, context.get("ad4_params"), etables=et)
+        engine = AutoDock4(maps, context.get("ad4_params"))
         result = engine.dock(lig_prep, seed=seed)
         log_text = write_dlg(result)
         log_name = f"{lig_id}_{rec_id}.dlg"
     elif engine_name == "vina":
         box = _box_for(rec_id, context, caches)
         vmaps = _vina_maps_for(rec_id, context, caches)
-        engine = Vina(
-            rec_prep, box, context.get("vina_params"), maps=vmaps, etables=et
-        )
+        engine = Vina(rec_prep, box, context.get("vina_params"), maps=vmaps)
         result = engine.dock(lig_prep, seed=seed)
         log_text = write_vina_log(result)
         log_name = f"{lig_id}_{rec_id}.log"
@@ -528,7 +485,6 @@ def docking(tup: dict, context: dict) -> list[dict]:
         "receptor": rec_id,
         "ligand": lig_id,
         "engine": engine_name,
-        "kernel": "tables" if et is not None else "analytic",
         "feb": round(result.best_energy, 3),
         "rmsd": round(
             best.rmsd_from_input if engine_name == "autodock4" else mode_rmsd, 3

@@ -44,7 +44,6 @@ _DOCK_EXTRACTOR = JsonExtractor(
         "rmsd",
         "reference_rmsd",
         "engine",
-        "kernel",
         "modes",
         "evaluations",
         "in_pocket",
@@ -103,13 +102,6 @@ class SciDockConfig:
     #: Live elastic pool resizing: let an adaptive policy grow/shrink
     #: the real worker pool mid-run (bounded by ``workers``).
     elastic_pool: bool = False
-    #: Table-driven energy kernels (see repro.docking.etables). False
-    #: keeps the analytic reference path — bit-for-bit the seed scoring.
-    etables: bool = False
-    #: Radial table resolution in Angstrom per bin (tables mode only).
-    etable_dr: float = 0.005
-    #: Table extent / nonbonded cutoff in Angstrom (tables mode only).
-    etable_rmax: float = 8.0
     #: Distributed backend only: ``HOST:PORT`` the director binds for
     #: worker nodes to join (``scidock worker --join HOST:PORT``).
     director: str | None = None
@@ -159,10 +151,6 @@ class SciDockConfig:
             raise ValueError("speculation_quantile must be in (0, 1]")
         if self.cost_prior not in ("paper", "provenance"):
             raise ValueError(f"unknown cost_prior {self.cost_prior!r}")
-        if self.etable_dr <= 0:
-            raise ValueError("etable_dr must be positive")
-        if self.etable_rmax <= self.etable_dr:
-            raise ValueError("etable_rmax must exceed etable_dr")
 
     def retry_policy(self) -> RetryPolicy:
         return RetryPolicy(
@@ -192,9 +180,6 @@ class SciDockConfig:
             "vina_params": self.vina_params,
             "shared_maps": self.shared_maps,
             "map_cache": self.map_cache,
-            "kernel": "tables" if self.etables else "analytic",
-            "etable_dr": self.etable_dr,
-            "etable_rmax": self.etable_rmax,
         }
 
 
@@ -425,10 +410,23 @@ def resume_scidock(
     under the journaled context. Pre-journal runs fall back to the
     ``resume_failed`` provenance heuristics, which need ``pairs`` (the
     original input relation) to classify tuples.
+
+    Runs journaled under the removed table-driven energy kernels
+    (context ``kernel == "tables"``) are refused: finishing them under
+    the analytic kernel would mix two energy functions in one result
+    set.
     """
-    from repro.workflow.journal import has_journal
+    from repro.workflow.journal import has_journal, recover_context
     from repro.workflow.reexec import resume_failed
 
+    journaled = recover_context(store, wkfid) or {}
+    if journaled.get("kernel") == "tables":
+        raise ValueError(
+            f"run {wkfid} was journaled under the table-driven energy "
+            "kernels, which no longer exist; its completed tuples carry "
+            "table energies, so it cannot be resumed under the analytic "
+            "kernel — start a fresh run instead"
+        )
     config = config or SciDockConfig()
     engine = build_scidock_engine(config, store)
     workflow = build_scidock_workflow(config)

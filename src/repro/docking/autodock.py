@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -24,9 +23,6 @@ from repro.docking.local_search import solis_wets_steps
 from repro.docking.objective import PoseEnergyObjective, run_lockstep
 from repro.docking.prepare import LigandPreparation
 from repro.docking.scoring_ad4 import AD4Scorer
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.docking.etables import EtableSet
 
 
 @dataclass
@@ -49,16 +45,10 @@ class AutoDock4:
     name = "autodock4"
 
     def __init__(
-        self,
-        maps: GridMaps,
-        params: AD4Parameters | None = None,
-        etables: "EtableSet | None" = None,
+        self, maps: GridMaps, params: AD4Parameters | None = None
     ) -> None:
         self.maps = maps
         self.params = params or AD4Parameters()
-        self.etables = etables
-        #: Kernel mode the engine's scorers will run ("analytic"|"tables").
-        self.kernel = "tables" if etables is not None else "analytic"
 
     def dock(
         self,
@@ -67,16 +57,14 @@ class AutoDock4:
     ) -> DockingResult:
         """Dock a prepared ligand; deterministic for a given seed."""
         started = time.perf_counter()
-        scorer = AD4Scorer(self.maps, ligand.molecule, etables=self.etables)
+        scorer = AD4Scorer(self.maps, ligand.molecule)
         tree = ligand.tree
         reference = tree.reference
 
         # Vectorized objective: each round scores every run's pending
         # batch (a generation, a Solis-Wets probe pair) through one
         # batched pose + grid gather.
-        objective = PoseEnergyObjective(
-            tree, scorer.docking_energy_batch, kernel=scorer.kernel
-        )
+        objective = PoseEnergyObjective(tree, scorer.docking_energy_batch)
 
         # The GA searches translations around the box center relative to
         # the ligand's root reference position.

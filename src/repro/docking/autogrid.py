@@ -21,15 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from typing import TYPE_CHECKING
-
 from repro.chem.molecule import Molecule
 from repro.docking.box import GridBox
 from repro.docking import forcefield as ff
-from repro.docking.neighbors import CellList, lattice_pairs
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.docking.etables import EtableSet
+from repro.docking.neighbors import lattice_pairs
 
 
 class GridError(ValueError):
@@ -196,27 +191,15 @@ class AutoGrid:
         Nonbonded cutoff (inclusive). Receptor atoms farther than this
         from the box faces along any axis are skipped entirely; the
         rest only contribute to grid points within the cutoff.
-    etables:
-        Optional :class:`~repro.docking.etables.EtableSet`. When given,
-        the build runs the table-driven kernel over a receptor cell
-        list: each grid point only visits atoms within the cutoff and
-        all pair energies come from row interpolation. The cutoff is
-        then the table extent (``etables.config.r_max``).
     """
 
     def __init__(
-        self,
-        chunk_atoms: int = 256,
-        cutoff: float = ff.NB_CUTOFF,
-        etables: "EtableSet | None" = None,
+        self, chunk_atoms: int = 256, cutoff: float = ff.NB_CUTOFF
     ) -> None:
         if chunk_atoms < 1:
             raise GridError("chunk_atoms must be >= 1")
         self.chunk_atoms = chunk_atoms
-        self.etables = etables
-        self.cutoff = etables.config.r_max if etables is not None else cutoff
-        #: Kernel mode label surfaced in logs/provenance.
-        self.kernel = "tables" if etables is not None else "analytic"
+        self.cutoff = cutoff
 
     def _relevant_atoms(
         self, receptor: Molecule, box: GridBox
@@ -255,15 +238,6 @@ class AutoGrid:
         affinity = {t: np.zeros(P) for t in dict.fromkeys(ligand_types)}
         electro = np.zeros(P)
         desolv = np.zeros(P)
-
-        if self.etables is not None:
-            self._run_tables(
-                box.points(), rec_coords, rec_types, rec_charges,
-                affinity, electro, desolv,
-            )
-            return self._package(
-                box, receptor, affinity, electro, desolv, N, started
-            )
 
         # Group receptor atoms by AutoDock type: pair parameters are then
         # constant per (ligand type, group), so the whole group broadcasts
@@ -325,61 +299,6 @@ class AutoGrid:
             box, receptor, affinity, electro, desolv, N, started
         )
 
-    def _run_tables(
-        self,
-        points: np.ndarray,
-        rec_coords: np.ndarray,
-        rec_types: list[str],
-        rec_charges: np.ndarray,
-        affinity: dict[str, np.ndarray],
-        electro: np.ndarray,
-        desolv: np.ndarray,
-    ) -> None:
-        """Cell-list + lookup-table map build (accumulates in place).
-
-        Per in-cutoff ``(point, atom)`` pair the affinity maps interpolate
-        a combined row (weighted vdW/H-bond + charge-independent pair
-        desolvation) and add the receptor-charge desolvation as
-        ``FE_DESOLV * qsolpar * vol_lt * |q| * envelope(r)``; the e and d
-        maps reuse the shared factor/envelope rows.
-        """
-        from repro.docking.etables import QSOLPAR
-
-        ad4t = self.etables.ad4
-        P = points.shape[0]
-        if rec_coords.shape[0] == 0:
-            return
-        rt_names = list(dict.fromkeys(rec_types))
-        rt_index = {rt: k for k, rt in enumerate(rt_names)}
-        atom_rt = np.array([rt_index[t] for t in rec_types], dtype=np.intp)
-        vols = np.array([ff.AUTODOCK_TYPES[t].vol for t in rec_types])
-        abs_q = np.abs(rec_charges)
-        rows_per_lt = {
-            lt: np.array(
-                [ad4t.grid_row(lt, rt) for rt in rt_names], dtype=np.intp
-            )
-            for lt in affinity
-        }
-        qcoef = {
-            lt: ff.FE_COEFF_DESOLV * QSOLPAR * ff.AUTODOCK_TYPES[lt].vol
-            for lt in affinity
-        }
-        cells = CellList(rec_coords, cell_size=self.cutoff)
-        for pi, ai, r in cells.iter_query(points, self.cutoff):
-            env = ad4t.eval_envelope(r)
-            electro += np.bincount(
-                pi, weights=ad4t.eval_estat(rec_charges[ai], r), minlength=P
-            )
-            desolv += np.bincount(
-                pi,
-                weights=ff.FE_COEFF_DESOLV * QSOLPAR * env * vols[ai],
-                minlength=P,
-            )
-            for lt, grid in affinity.items():
-                e = ad4t.eval_rows(rows_per_lt[lt][atom_rt[ai]], r)
-                e += qcoef[lt] * abs_q[ai] * env
-                grid += np.bincount(pi, weights=e, minlength=P)
-
     def _package(
         self,
         box: GridBox,
@@ -395,7 +314,7 @@ class AutoGrid:
         log = "\n".join(
             [
                 "autogrid4: successful completion",
-                f"kernel: {self.kernel} (cutoff {self.cutoff:.2f} A)",
+                f"cutoff: {self.cutoff:.2f} A",
                 f"receptor: {receptor.name} ({n_atoms} atoms within cutoff)",
                 f"grid: {shape[0]}x{shape[1]}x{shape[2]} points, "
                 f"spacing {box.spacing:.3f} A",

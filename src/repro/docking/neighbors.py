@@ -2,22 +2,19 @@
 
 Two pruning layers live here:
 
-* **Spatial** — two enumerators of the ``(point, atom)`` pairs within
-  the nonbonded cutoff, replacing the ``O(points x receptor_atoms)``
-  dense distance sweep. :func:`lattice_pairs` serves the analytic
+* **Spatial** — :func:`lattice_pairs`, the enumerator of the
+  ``(grid point, atom)`` pairs within the nonbonded cutoff that replaces
+  the ``O(points x receptor_atoms)`` dense distance sweep of the
   AutoGrid and Vina map builds: each atom walks the grid rows of its
   cutoff sphere, and pairs come out atom-major so the maps keep the
-  dense sweep's summation order. :class:`CellList`, a uniform cell
-  list over a static point set (receptor atoms), serves the table-mode
-  map builds and the map-free Vina scorer with an
-  ``O(points x local_atoms)`` gather over the 27-cell neighborhood.
+  dense sweep's summation order.
 * **Topological** — :func:`bond_separation_pairs`, the memoized
   bond-graph BFS behind the AD4/Vina intramolecular pair tables.
   Scorers are rebuilt per activation (and per worker process), but the
   1-4+ pair table is a pure function of the molecular topology, so
   identical walks are served from a process-wide memo.
 
-Both layers are exact: the enumerators return precisely the pairs a
+Both layers are exact: the enumerator returns precisely the pairs a
 brute-force ``r <= cutoff`` scan would (order aside), and the memo
 returns the same arrays the per-scorer BFS used to build.
 """
@@ -32,132 +29,6 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.docking.box import GridBox
-
-
-class CellList:
-    """Uniform cell list over a fixed set of 3D points.
-
-    Points are binned into cubic cells of edge ``cell_size`` and stored
-    in CSR layout (one ``argsort`` at construction). A query point only
-    inspects the ``(2k+1)^3`` cells that can contain neighbors within
-    ``cutoff`` (``k = ceil(cutoff / cell_size)``), so query cost scales
-    with local density instead of the total atom count.
-    """
-
-    def __init__(self, coords: np.ndarray, cell_size: float) -> None:
-        if cell_size <= 0:
-            raise ValueError("cell_size must be positive")
-        coords = np.asarray(coords, dtype=np.float64).reshape(-1, 3)
-        self.coords = coords
-        self.cell_size = float(cell_size)
-        self.n_points = coords.shape[0]
-        if self.n_points == 0:
-            self.origin = np.zeros(3)
-            self.dims = np.ones(3, dtype=np.intp)
-            self._order = np.empty(0, dtype=np.intp)
-            self._starts = np.zeros(2, dtype=np.intp)
-            self._counts = np.zeros(1, dtype=np.intp)
-            return
-        self.origin = coords.min(axis=0)
-        span = coords.max(axis=0) - self.origin
-        self.dims = np.floor(span / self.cell_size).astype(np.intp) + 1
-        idx3 = np.floor((coords - self.origin) / self.cell_size).astype(np.intp)
-        # Atoms exactly on the max face land one past the last cell.
-        idx3 = np.minimum(idx3, self.dims - 1)
-        lin = self._linearize(idx3)
-        self._order = np.argsort(lin, kind="stable")
-        n_cells = int(np.prod(self.dims))
-        self._counts = np.bincount(lin, minlength=n_cells).astype(np.intp)
-        self._starts = np.concatenate(
-            [np.zeros(1, dtype=np.intp), np.cumsum(self._counts)]
-        )
-
-    def _linearize(self, idx3: np.ndarray) -> np.ndarray:
-        d = self.dims
-        return (idx3[..., 0] * d[1] + idx3[..., 1]) * d[2] + idx3[..., 2]
-
-    def query(
-        self, points: np.ndarray, cutoff: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All ``(point, atom)`` pairs within ``cutoff``.
-
-        Returns ``(pi, ai, r)``: query-point indices, atom indices and
-        their distances, with ``r <= cutoff`` inclusive — exactly the
-        pair set a brute-force ``r2 <= cutoff**2`` scan produces.
-        """
-        blocks = list(self.iter_query(points, cutoff))
-        if not blocks:
-            empty = np.empty(0, dtype=np.intp)
-            return empty, empty.copy(), np.empty(0)
-        pi = np.concatenate([b[0] for b in blocks])
-        ai = np.concatenate([b[1] for b in blocks])
-        r = np.concatenate([b[2] for b in blocks])
-        return pi, ai, r
-
-    def iter_query(
-        self, points: np.ndarray, cutoff: float, chunk_points: int = 8192
-    ):
-        """Chunked :meth:`query`: yields ``(pi, ai, r)`` blocks.
-
-        ``pi`` holds *global* indices into ``points``; chunking only
-        bounds the candidate-pair working set, never changes the result.
-        """
-        if cutoff <= 0:
-            raise ValueError("cutoff must be positive")
-        points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-        if self.n_points == 0 or points.shape[0] == 0:
-            return
-        reach = int(np.ceil(cutoff / self.cell_size))
-        offsets = np.array(
-            [
-                (dx, dy, dz)
-                for dx in range(-reach, reach + 1)
-                for dy in range(-reach, reach + 1)
-                for dz in range(-reach, reach + 1)
-            ],
-            dtype=np.intp,
-        )
-        cut2 = float(cutoff) ** 2
-        for start in range(0, points.shape[0], chunk_points):
-            block = points[start : start + chunk_points]
-            pcell = np.floor((block - self.origin) / self.cell_size).astype(np.intp)
-            pi_parts: list[np.ndarray] = []
-            ai_parts: list[np.ndarray] = []
-            r_parts: list[np.ndarray] = []
-            for off in offsets:
-                ncell = pcell + off
-                valid = np.all((ncell >= 0) & (ncell < self.dims), axis=1)
-                if not valid.any():
-                    continue
-                vp = np.nonzero(valid)[0]
-                nlin = self._linearize(ncell[vp])
-                cnt = self._counts[nlin]
-                occupied = cnt > 0
-                if not occupied.any():
-                    continue
-                vp, nlin, cnt = vp[occupied], nlin[occupied], cnt[occupied]
-                total = int(cnt.sum())
-                rep_pt = np.repeat(vp, cnt)
-                # Per-pair offset inside its cell's CSR slice.
-                ends = np.cumsum(cnt)
-                within = np.arange(total, dtype=np.intp) - np.repeat(
-                    ends - cnt, cnt
-                )
-                atoms = self._order[np.repeat(self._starts[nlin], cnt) + within]
-                diff = block[rep_pt] - self.coords[atoms]
-                r2 = np.einsum("ij,ij->i", diff, diff)
-                hit = r2 <= cut2
-                if not hit.any():
-                    continue
-                pi_parts.append(rep_pt[hit] + start)
-                ai_parts.append(atoms[hit])
-                r_parts.append(np.sqrt(r2[hit]))
-            if pi_parts:
-                yield (
-                    np.concatenate(pi_parts),
-                    np.concatenate(ai_parts),
-                    np.concatenate(r_parts),
-                )
 
 
 #: Atoms whose lattice candidates are enumerated together; bounds the

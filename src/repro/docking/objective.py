@@ -141,13 +141,9 @@ class PoseEnergyObjective:
         self,
         tree: TorsionTree,
         energy_batch: Callable[[np.ndarray], np.ndarray],
-        kernel: str = "analytic",
     ) -> None:
         self.tree = tree
         self.energy_batch = energy_batch
-        #: Kernel mode of the bound scorer ("analytic"|"tables") —
-        #: introspection/provenance only, never consulted in scoring.
-        self.kernel = kernel
 
     def __call__(self, vector: np.ndarray) -> float:
         vector = np.asarray(vector, dtype=np.float64)

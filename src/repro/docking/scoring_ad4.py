@@ -18,7 +18,6 @@ search (``docking_energy``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -26,9 +25,6 @@ from repro.chem.molecule import Molecule
 from repro.docking import forcefield as ff
 from repro.docking.autogrid import GridMaps, StackGather
 from repro.docking.neighbors import bond_separation_pairs
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.docking.etables import EtableSet
 
 
 class ScoringError(ValueError):
@@ -66,27 +62,11 @@ class AD4Terms:
 
 
 class AD4Scorer:
-    """Grid-based AD4 scorer bound to one (receptor maps, ligand) pair.
+    """Grid-based AD4 scorer bound to one (receptor maps, ligand) pair."""
 
-    ``etables`` switches the intramolecular kernel from the analytic
-    12-6/12-10 + Mehler-Solmajer expressions to precomputed lookup rows
-    (see :mod:`repro.docking.etables`). The analytic path is the
-    bit-exact reference; table mode matches it within the documented
-    tolerance and applies the nonbonded cutoff to intramolecular pairs
-    (as real AD4's internal-energy tables do).
-    """
-
-    def __init__(
-        self,
-        maps: GridMaps,
-        ligand: Molecule,
-        etables: "EtableSet | None" = None,
-    ) -> None:
+    def __init__(self, maps: GridMaps, ligand: Molecule) -> None:
         self.maps = maps
         self.ligand = ligand
-        self._etables = etables
-        #: Kernel mode label surfaced in provenance: "analytic"|"tables".
-        self.kernel = "tables" if etables is not None else "analytic"
         self.types: list[str] = []
         for a in ligand.atoms:
             if a.autodock_type is None:
@@ -133,14 +113,6 @@ class AD4Scorer:
         self._pair_req = req
         self._pair_qq = self.charges[self._pair_i] * self.charges[self._pair_j]
 
-        # Table kernel: one lookup-row index per intramolecular pair.
-        if etables is not None:
-            ad4t = etables.ad4
-            self._pair_rows = np.array(
-                [ad4t.vdw_row(self.types[a], self.types[b]) for a, b in pairs],
-                dtype=np.intp,
-            )
-
         # AD4's FEB is a bound-minus-unbound difference: the unbound
         # reference internal energy (input geometry) is subtracted so the
         # intramolecular term reports only the conformational *change*.
@@ -180,8 +152,6 @@ class AD4Scorer:
         """Batched absolute internal energy over the flat pair table."""
         if self._pair_i.size == 0:
             return np.zeros(coords.shape[0])
-        if self._etables is not None:
-            return self._intra_raw_batch_tables(coords)
         # Fancy indexing on axis 1 yields a transposed-layout array; force
         # C order so reduction order (and hence the float result) does not
         # depend on the batch size.
@@ -203,23 +173,6 @@ class AD4Scorer:
             332.06363 * self._pair_qq / (eps * r), -ff.ESTAT_CLAMP, ff.ESTAT_CLAMP
         )
         return (lj * self._pair_w).sum(axis=1) + ff.FE_COEFF_ESTAT * coul.sum(axis=1)
-
-    def _intra_raw_batch_tables(self, coords: np.ndarray) -> np.ndarray:
-        """Table-kernel internal energy: two interpolation gathers.
-
-        The LJ/H-bond rows carry smoothing, EINTCLAMP and the FE weight;
-        the shared Coulomb factor row is multiplied by the pair charge
-        product and magnitude-clamped, matching the analytic kernel.
-        Both are zero beyond the table cutoff.
-        """
-        ad4t = self._etables.ad4
-        diff = np.ascontiguousarray(
-            coords[:, self._pair_i] - coords[:, self._pair_j]
-        )
-        r = np.sqrt((diff * diff).sum(axis=-1))
-        lj = ad4t.eval_rows(self._pair_rows, r)
-        coul = ad4t.eval_estat(self._pair_qq, r)
-        return lj.sum(axis=1) + ff.FE_COEFF_ESTAT * coul.sum(axis=1)
 
     def torsional(self) -> float:
         return ff.FE_COEFF_TORS * self.torsdof

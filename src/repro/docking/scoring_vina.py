@@ -20,7 +20,6 @@ conformational-entropy normalization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -28,14 +27,7 @@ from repro.chem.elements import AUTODOCK_TYPES
 from repro.chem.molecule import Molecule
 from repro.docking.autogrid import StackGather
 from repro.docking.box import GridBox
-from repro.docking.neighbors import (
-    CellList,
-    bond_separation_pairs,
-    lattice_pairs,
-)
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.docking.etables import EtableSet
+from repro.docking.neighbors import bond_separation_pairs, lattice_pairs
 
 #: Vina weights (Trott & Olson 2010, Table 1).
 W_GAUSS1 = -0.035579
@@ -242,16 +234,10 @@ def build_vina_maps(
     box: GridBox,
     classes: tuple[VinaAtomClass, ...] = STANDARD_CLASSES,
     chunk_atoms: int = 256,
-    etables: "EtableSet | None" = None,
 ) -> VinaMaps:
     """Build per-class Vina grids over ``box`` (amortized per receptor).
 
-    With ``etables`` the build runs the table-driven kernel over a cell
-    list: each grid point only visits receptor atoms within the cutoff
-    (27-cell neighborhood) and evaluates the five Vina terms by row
-    interpolation instead of the analytic exp/clip expressions.
-
-    The analytic path enumerates the in-cutoff pairs per atom chunk with
+    The build enumerates the in-cutoff pairs per atom chunk with
     :func:`~repro.docking.neighbors.lattice_pairs` and evaluates the
     exact Vina terms; its grids are bit-identical to a dense
     ``(points x atoms)`` sweep.
@@ -259,54 +245,38 @@ def build_vina_maps(
     P = int(np.prod(box.shape))
     rad, hyd, don, acc = _type_vectors(receptor)
     rec_coords = receptor.coords
-    cutoff = etables.config.r_max if etables is not None else CUTOFF
-    lo = box.minimum - cutoff
-    hi = box.maximum + cutoff
+    lo = box.minimum - CUTOFF
+    hi = box.maximum + CUTOFF
     keep = np.all((rec_coords >= lo) & (rec_coords <= hi), axis=1)
     rec_coords = rec_coords[keep]
     rad, hyd, don, acc = rad[keep], hyd[keep], don[keep], acc[keep]
     grids = {cls: np.zeros(P) for cls in classes}
-    if etables is not None:
-        vt = etables.vina
-        rows_by_class = {cls: vt.rows_for(cls.radius + rad) for cls in classes}
-        if rec_coords.shape[0] > 0:
-            cells = CellList(rec_coords, cell_size=cutoff)
-            for pi, ai, r in cells.iter_query(box.points(), cutoff):
-                for cls, grid in grids.items():
-                    e = vt.eval(
-                        rows_by_class[cls][ai],
-                        r,
-                        cls.hydrophobic & hyd[ai],
-                        (cls.donor & acc[ai]) | (cls.acceptor & don[ai]),
-                    )
-                    grid += np.bincount(pi, weights=e, minlength=P)
-    else:
-        # Classes of one xs radius share d and the gauss/repulsion base;
-        # a class without ramp flags would only add -0.0 ramps to it.
-        by_radius: dict[float, list[VinaAtomClass]] = {}
-        for cls in classes:
-            by_radius.setdefault(cls.radius, []).append(cls)
-        for start in range(0, rec_coords.shape[0], chunk_atoms):
-            stop = start + chunk_atoms
-            # Atom-major in-cutoff pairs: per-point sums in ascending atom
-            # order, as over the full points x atoms sweep.
-            pi, ci, rv = lattice_pairs(box, rec_coords[start:stop], CUTOFF)
-            if pi.size == 0:
-                continue
-            rad_c = rad[start:stop][ci]
-            hyd_c = hyd[start:stop][ci]
-            don_c = don[start:stop][ci]
-            acc_c = acc[start:stop][ci]
-            for radius, members in by_radius.items():
-                d = rv - radius - rad_c
-                base = base_terms(d)
-                for cls in members:
-                    e = base
-                    if cls.hydrophobic or cls.donor or cls.acceptor:
-                        hydro_pair = cls.hydrophobic & hyd_c
-                        hbond_pair = (cls.donor & acc_c) | (cls.acceptor & don_c)
-                        e = add_ramp_terms(base, d, hydro_pair, hbond_pair)
-                    grids[cls] += np.bincount(pi, weights=e, minlength=P)
+    # Classes of one xs radius share d and the gauss/repulsion base;
+    # a class without ramp flags would only add -0.0 ramps to it.
+    by_radius: dict[float, list[VinaAtomClass]] = {}
+    for cls in classes:
+        by_radius.setdefault(cls.radius, []).append(cls)
+    for start in range(0, rec_coords.shape[0], chunk_atoms):
+        stop = start + chunk_atoms
+        # Atom-major in-cutoff pairs: per-point sums in ascending atom
+        # order, as over the full points x atoms sweep.
+        pi, ci, rv = lattice_pairs(box, rec_coords[start:stop], CUTOFF)
+        if pi.size == 0:
+            continue
+        rad_c = rad[start:stop][ci]
+        hyd_c = hyd[start:stop][ci]
+        don_c = don[start:stop][ci]
+        acc_c = acc[start:stop][ci]
+        for radius, members in by_radius.items():
+            d = rv - radius - rad_c
+            base = base_terms(d)
+            for cls in members:
+                e = base
+                if cls.hydrophobic or cls.donor or cls.acceptor:
+                    hydro_pair = cls.hydrophobic & hyd_c
+                    hbond_pair = (cls.donor & acc_c) | (cls.acceptor & don_c)
+                    e = add_ramp_terms(base, d, hydro_pair, hbond_pair)
+                grids[cls] += np.bincount(pi, weights=e, minlength=P)
     shape = box.shape
     return VinaMaps(
         box=box,
@@ -321,12 +291,6 @@ class VinaScorer:
     When ``maps`` (a :class:`VinaMaps` cache) is supplied, intermolecular
     evaluation is a per-atom trilinear gather; otherwise the exact
     pairwise sum over the pre-pruned receptor neighborhood is used.
-
-    ``etables`` switches the pairwise kernels to table lookups: the
-    intramolecular sum interpolates per-radius-sum rows, and the
-    map-free intermolecular path walks a receptor cell list so each
-    ligand atom only touches atoms within the cutoff instead of the full
-    ``(poses x ligand x receptor)`` distance tensor.
     """
 
     def __init__(
@@ -335,18 +299,13 @@ class VinaScorer:
         ligand: Molecule,
         box: GridBox,
         maps: VinaMaps | None = None,
-        etables: "EtableSet | None" = None,
     ) -> None:
         self.box = box
         self.ligand = ligand
-        self._etables = etables
-        #: Kernel mode label surfaced in provenance: "analytic"|"tables".
-        self.kernel = "tables" if etables is not None else "analytic"
-        cutoff = etables.config.r_max if etables is not None else CUTOFF
         rec_coords = receptor.coords
         rad, hyd, don, acc = _type_vectors(receptor)
-        lo = box.minimum - cutoff
-        hi = box.maximum + cutoff
+        lo = box.minimum - CUTOFF
+        hi = box.maximum + CUTOFF
         keep = np.all((rec_coords >= lo) & (rec_coords <= hi), axis=1)
         #: Original receptor indices of the pruned rows (used by the
         #: flexible-receptor extension to update side-chain coordinates).
@@ -396,19 +355,6 @@ class VinaScorer:
                     )
                 stacks.append(grid)
             self._grid = StackGather(box, np.stack(stacks)[None])
-        # Table-kernel precomputation: per-pair row indices plus, for the
-        # map-free path, a receptor cell list so pose batches only touch
-        # atoms within the cutoff of each ligand atom.
-        self._cells: CellList | None = None
-        self._inter_rows: np.ndarray | None = None
-        self._intra_rows: np.ndarray | None = None
-        if etables is not None:
-            vt = etables.vina
-            if self._intra_pairs.size:
-                self._intra_rows = vt.rows_for(self._intra_rsum)
-            if self._grid is None and self.rec_coords.shape[0] > 0:
-                self._cells = CellList(self.rec_coords, cell_size=cutoff)
-                self._inter_rows = vt.rows_for(self._inter_rsum)
 
     @staticmethod
     def _intra_pair_table(mol: Molecule) -> np.ndarray:
@@ -454,8 +400,6 @@ class VinaScorer:
         R = self.rec_coords.shape[0]
         if R == 0:
             return np.zeros(P)
-        if self._cells is not None:
-            return self._intermolecular_batch_pruned(coords)
         out = np.empty(P)
         L = coords.shape[1]
         chunk = max(1, 2_000_000 // max(1, L * R))
@@ -467,30 +411,6 @@ class VinaScorer:
             d = r - self._inter_rsum
             e = pairwise_terms(d, self._inter_hydro, self._inter_hbond)
             out[start : start + chunk] = np.where(within, e, 0.0).sum(axis=(1, 2))
-        return out
-
-    def _intermolecular_batch_pruned(self, coords: np.ndarray) -> np.ndarray:
-        """Cell-list + table intermolecular kernel.
-
-        Flattens the pose batch into ``P*L`` query points, asks the
-        receptor cell list for the in-cutoff ``(point, atom)`` pairs and
-        interpolates the precomputed per-pair table rows — the dense
-        ``(P, L, R)`` distance tensor never materializes.
-        """
-        P, L = coords.shape[0], coords.shape[1]
-        vt = self._etables.vina
-        cutoff = self._etables.config.r_max
-        out = np.zeros(P)
-        pts = coords.reshape(P * L, 3)
-        for qi, ai, r in self._cells.iter_query(pts, cutoff):
-            lig = qi % L
-            e = vt.eval(
-                self._inter_rows[lig, ai],
-                r,
-                self._inter_hydro[lig, ai],
-                self._inter_hbond[lig, ai],
-            )
-            out += np.bincount(qi // L, weights=e, minlength=P)
         return out
 
     def intramolecular(self, coords: np.ndarray) -> float:
@@ -507,14 +427,6 @@ class VinaScorer:
         # axis-1 fancy index yields a transposed-layout array).
         diff = np.ascontiguousarray(coords[:, ii] - coords[:, jj])
         r = np.sqrt((diff * diff).sum(axis=-1))
-        if self._intra_rows is not None:
-            e = self._etables.vina.eval(
-                np.broadcast_to(self._intra_rows, r.shape),
-                r,
-                self._intra_hydro,
-                self._intra_hbond,
-            )
-            return e.sum(axis=1)
         d = r - self._intra_rsum
         e = pairwise_terms(d, self._intra_hydro, self._intra_hbond)
         return np.where(r <= CUTOFF, e, 0.0).sum(axis=1)

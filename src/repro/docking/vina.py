@@ -25,7 +25,6 @@ from repro.docking.prepare import LigandPreparation, ReceptorPreparation
 from repro.docking.scoring_vina import VinaScorer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.docking.etables import EtableSet
     from repro.docking.scoring_vina import VinaMaps
 
 
@@ -61,41 +60,29 @@ class Vina:
         *,
         use_grid: bool = True,
         maps: "VinaMaps | None" = None,
-        etables: "EtableSet | None" = None,
     ) -> None:
         self.receptor = (
             receptor.molecule if isinstance(receptor, ReceptorPreparation) else receptor
         )
         self.box = box
         self.params = params or VinaParameters()
-        self.etables = etables
-        #: Kernel mode the engine's scorers will run ("analytic"|"tables").
-        self.kernel = "tables" if etables is not None else "analytic"
         if maps is not None:
             self.maps = maps
         elif use_grid:
             from repro.docking.scoring_vina import build_vina_maps
 
-            self.maps = build_vina_maps(self.receptor, box, etables=etables)
+            self.maps = build_vina_maps(self.receptor, box)
         else:
             self.maps = None
 
     def dock(self, ligand: LigandPreparation, seed: int = 0) -> DockingResult:
         """Dock a prepared ligand; deterministic for a given seed."""
         started = time.perf_counter()
-        scorer = VinaScorer(
-            self.receptor,
-            ligand.molecule,
-            self.box,
-            maps=self.maps,
-            etables=self.etables,
-        )
+        scorer = VinaScorer(self.receptor, ligand.molecule, self.box, maps=self.maps)
         tree = ligand.tree
 
         # BFGS scores each finite-difference gradient as one batch.
-        objective = PoseEnergyObjective(
-            tree, scorer.search_energy_batch, kernel=scorer.kernel
-        )
+        objective = PoseEnergyObjective(tree, scorer.search_energy_batch)
 
         center_offset = self.box.center - tree.reference[tree.root]
         extent = float(min(self.box.dimensions) / 2.0)

@@ -1,6 +1,6 @@
 """2D/3D molecular descriptors.
 
-Classic interpretable descriptors computed directly from the
+Classic, easily interpreted descriptors computed directly from the
 :class:`~repro.chem.molecule.Molecule` representation: size, flexibility,
 hydrogen bonding capacity, lipophilicity (a Crippen-style atomic
 contribution estimate), polar surface area (Ertl-style group

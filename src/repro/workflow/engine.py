@@ -127,12 +127,6 @@ class ExecutionReport:
     replayed: int = 0
     #: Attempt durations fed into the online cost service this run.
     cost_samples: int = 0
-    #: Energy-kernel mode the run executed with ("analytic"|"tables").
-    kernel_mode: str = "analytic"
-    #: Wall time spent building energy lookup tables in this process
-    #: (parent only for the processes backend; workers build their own
-    #: copies from the same shared registry design).
-    etable_build_s: float = 0.0
     #: Distributed-plane accounting (zero/empty on local backends):
     #: worker nodes that joined / were declared dead during the run,
     #: completed tuples per node id, and total framed bytes the director
@@ -352,7 +346,7 @@ class LocalEngine:
         # FINISHED tuples (see repro.workflow.journal). The run-started
         # header snapshots the picklable context before engine-internal
         # entries are popped, so a resume re-runs under the same
-        # kernel/etable/fault-injection configuration.
+        # grid/engine-parameter/fault-injection configuration.
         journal = RunJournal(
             self.store, wkfid, clock=lambda: time.perf_counter() - t0
         )
@@ -385,15 +379,6 @@ class LocalEngine:
         # content-addressed map directory shared across runs.
         shared_maps = context.pop("shared_maps", None)
         map_cache = context.pop("map_cache", None)
-        # Kernel provenance: note the mode and, in tables mode, how much
-        # wall time this run spends building lookup rows. The kernel/
-        # etable_* keys stay in the context — workers read them.
-        kernel_mode = str(context.get("kernel", "analytic"))
-        etable_t0 = 0.0
-        if kernel_mode == "tables":
-            from repro.docking.etables import build_seconds
-
-            etable_t0 = build_seconds()
         use_plane = (
             shared_maps if shared_maps is not None else self.backend == "processes"
         )
@@ -594,11 +579,6 @@ class LocalEngine:
         tet = time.perf_counter() - t0
         journal.run_finished(ts=tet, stats=run_stats)
         self.store.end_workflow(wkfid, tet)
-        etable_build = 0.0
-        if kernel_mode == "tables":
-            from repro.docking.etables import build_seconds
-
-            etable_build = build_seconds() - etable_t0
         return ExecutionReport(
             wkfid=wkfid,
             workflow_tag=workflow.tag,
@@ -620,8 +600,6 @@ class LocalEngine:
             pool_resizes=totals.pool_resizes,
             replayed=totals.replayed,
             cost_samples=service.samples if service is not None else 0,
-            kernel_mode=kernel_mode,
-            etable_build_s=etable_build,
             nodes_joined=nodes_joined,
             nodes_lost=nodes_lost,
             tuples_per_node=tuples_per_node,

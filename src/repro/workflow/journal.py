@@ -435,8 +435,8 @@ def replay_journal(store: ProvenanceStore, wkfid: int) -> JournalReplay:
 def recover_context(store: ProvenanceStore, wkfid: int) -> dict | None:
     """The journaled run context of ``wkfid``, or ``None`` if unjournaled.
 
-    This is what lets a resumed run re-execute under the same kernel /
-    energy-table / fault-injection configuration as the run that
+    This is what lets a resumed run re-execute under the same grid /
+    engine-parameter / fault-injection configuration as the run that
     produced the failures, without the caller re-supplying it.
     """
     rows = store.sql(

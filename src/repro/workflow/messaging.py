@@ -1,27 +1,15 @@
-"""MPJ-style message passing: the shared master/worker wire vocabulary.
+"""MPJ-style message passing: the master/worker wire layer.
 
 The real SciCumulus implements its distribution and execution layers
 over MPJ (MPI for Java): rank 0 is the master holding the activation
 queue; worker ranks request work, execute, and return results. This
-module owns that vocabulary for *both* planes:
-
-* The deterministic simulation — typed messages, latency-modelled
-  channels on the :class:`~repro.cloud.simclock.SimClock`, and the
-  :class:`MasterWorkerProtocol` — exposing the measured communication
-  overhead that feeds the scheduler's dispatch cost (the paper's "high
-  communication latency" factor in cloud speedup).
-* The real socket transport behind the distributed backend
-  (:mod:`repro.workflow.distributed` /
-  :mod:`repro.workflow.worker`): the same :class:`Message` /
-  :class:`MessageTag` records, serialized as length-prefixed pickled
-  frames over TCP (:func:`send_frame` / :func:`recv_frame` /
-  :class:`FrameConn`), plus the content-addressed artifact-exchange
-  client (:func:`fetch_artifact`).
-
-Because both planes speak the same vocabulary, the simulated channel's
-cost model charges the *actual* pickled frame size
-(:func:`payload_nbytes`) — what the socket transport really sends — not
-a ``repr`` proxy.
+module is that wire layer for the distributed backend
+(:mod:`repro.workflow.distributed` / :mod:`repro.workflow.worker`):
+typed :class:`Message` / :class:`MessageTag` records, serialized as
+length-prefixed pickled frames over TCP (:func:`send_frame` /
+:func:`recv_frame` / :class:`FrameConn`) with optional zlib bodies,
+plus the content-addressed artifact-exchange client
+(:func:`fetch_artifact`).
 """
 
 from __future__ import annotations
@@ -32,21 +20,18 @@ import socket
 import struct
 import threading
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
-
-from repro.cloud.simclock import SimClock
 
 
 class MessageTag(Enum):
-    # Pull-protocol core (simulation and wire alike).
+    # Pull-protocol core.
     WORK_REQUEST = "WORK_REQUEST"
     TASK = "TASK"
     RESULT = "RESULT"
     FAILURE = "FAILURE"
     SHUTDOWN = "SHUTDOWN"
-    # Wire-only extensions for the socket transport.
+    # Node lifecycle, cancellation and artifact exchange.
     HELLO = "HELLO"
     SETUP = "SETUP"
     HEARTBEAT = "HEARTBEAT"
@@ -92,209 +77,6 @@ class ContextRef:
 CONTEXT_REF = ContextRef()
 
 
-def payload_nbytes(payload: object) -> int:
-    """Actual wire size of a payload: its pickled byte count.
-
-    This is what the socket transport sends per frame (minus the fixed
-    header), so the simulated channel charges it too. Unpicklable
-    payloads (simulation-only closures) fall back to the ``repr`` size.
-    """
-    try:
-        return len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
-    except Exception:
-        return len(repr(payload).encode())
-
-
-class Channel:
-    """Point-to-point ordered channel with transfer latency.
-
-    Deliveries are scheduled on the shared clock; per-message latency is
-    ``base_latency + pickled-payload-bytes / bandwidth`` — the byte
-    count the real transport's frames carry for the same payload.
-    """
-
-    def __init__(
-        self,
-        clock: SimClock,
-        base_latency: float = 0.001,
-        bandwidth: float = 10e6,
-        compress_min_bytes: int | None = None,
-    ) -> None:
-        if base_latency < 0 or bandwidth <= 0:
-            raise MessagingError("latency must be >= 0 and bandwidth positive")
-        self.clock = clock
-        self.base_latency = base_latency
-        self.bandwidth = bandwidth
-        #: ``None`` models the raw transport (default, parity with the
-        #: uncompressed wire); an int models ``--compress-frames`` with
-        #: that threshold, charging deflated frame sizes.
-        self.compress_min_bytes = compress_min_bytes
-        self.delivered_bytes = 0
-        self.bytes_saved = 0
-        self.message_count = 0
-
-    def size_of(self, message: Message) -> int:
-        """Bytes this message's payload occupies on the wire."""
-        if self.compress_min_bytes is None:
-            return payload_nbytes(message.payload)
-        return compressed_nbytes(message.payload, self.compress_min_bytes)
-
-    def latency_of(self, message: Message) -> float:
-        return self.base_latency + self.size_of(message) / self.bandwidth
-
-    def send(self, message: Message, deliver: Callable[[Message], None]) -> float:
-        """Schedule delivery; returns the simulated latency."""
-        latency = self.latency_of(message)
-        wire = self.size_of(message)
-        self.delivered_bytes += wire
-        if self.compress_min_bytes is not None:
-            self.bytes_saved += payload_nbytes(message.payload) - wire
-        self.message_count += 1
-        self.clock.schedule(latency, lambda: deliver(message))
-        return latency
-
-
-@dataclass
-class WorkerStats:
-    rank: int
-    tasks_done: int = 0
-    tasks_failed: int = 0
-    busy_seconds: float = 0.0
-    #: Wire accounting: payload bytes this worker sent to / received
-    #: from the master (task frames in, result/failure frames out).
-    bytes_sent: int = 0
-    bytes_received: int = 0
-
-
-class MasterWorkerProtocol:
-    """Rank-0 master + N workers over latency-modelled channels.
-
-    ``run`` drives a full job set to completion: workers request work,
-    the master hands out tasks (largest-first, mirroring the greedy cost
-    model), workers "execute" for their declared service time, results
-    flow back, and everybody is shut down when the queue drains.
-    ``service_fn`` maps a task payload to its service seconds;
-    ``fail_fn`` (optional) decides injected failures, which the master
-    re-queues — the re-execution mechanism at the messaging level.
-    """
-
-    def __init__(
-        self,
-        n_workers: int,
-        clock: SimClock | None = None,
-        channel: Channel | None = None,
-        max_retries: int = 3,
-    ) -> None:
-        if n_workers < 1:
-            raise MessagingError("need at least one worker")
-        self.clock = clock or SimClock()
-        self.channel = channel or Channel(self.clock)
-        self.n_workers = n_workers
-        self.max_retries = max_retries
-        self._ids = itertools.count(1)
-        self.stats = {r: WorkerStats(rank=r) for r in range(1, n_workers + 1)}
-        self.results: list[tuple[object, object]] = []
-        self._queue: list[tuple[object, int]] = []  # (task, attempt)
-        self._outstanding = 0
-        self._service_fn: Callable[[object], float] | None = None
-        self._result_fn: Callable[[object], object] | None = None
-        self._fail_fn: Callable[[object, int], bool] | None = None
-        self.dropped: list[object] = []
-
-    # -- master side -----------------------------------------------------
-    def _master_receive(self, message: Message) -> None:
-        if message.tag in (MessageTag.WORK_REQUEST, MessageTag.RESULT, MessageTag.FAILURE):
-            worker = message.src
-            if message.tag is MessageTag.RESULT:
-                task, value = message.payload  # type: ignore[misc]
-                self.results.append((task, value))
-                self.stats[worker].tasks_done += 1
-                self._outstanding -= 1
-            elif message.tag is MessageTag.FAILURE:
-                task, attempt = message.payload  # type: ignore[misc]
-                self.stats[worker].tasks_failed += 1
-                self._outstanding -= 1
-                if attempt + 1 < self.max_retries:
-                    self._queue.append((task, attempt + 1))
-                else:
-                    self.dropped.append(task)
-            self._dispatch_to(worker)
-        else:  # pragma: no cover - protocol guard
-            raise MessagingError(f"master got unexpected {message.tag}")
-
-    def _dispatch_to(self, worker: int) -> None:
-        if self._queue:
-            # Largest service time first (greedy cost model).
-            self._queue.sort(key=lambda p: self._service_fn(p[0]), reverse=True)
-            task, attempt = self._queue.pop(0)
-            self._outstanding += 1
-            msg = Message(
-                MessageTag.TASK, 0, worker, (task, attempt), next(self._ids)
-            )
-            self.channel.send(msg, self._worker_receive)
-        elif self._outstanding == 0:
-            msg = Message(MessageTag.SHUTDOWN, 0, worker, None, next(self._ids))
-            self.channel.send(msg, self._worker_receive)
-
-    # -- worker side ----------------------------------------------------------
-    def _worker_receive(self, message: Message) -> None:
-        worker = message.dst
-        if message.tag is MessageTag.TASK:
-            task, attempt = message.payload  # type: ignore[misc]
-            service = self._service_fn(task)
-            self.stats[worker].busy_seconds += service
-            self.stats[worker].bytes_received += self.channel.size_of(message)
-
-            def finish() -> None:
-                if self._fail_fn is not None and self._fail_fn(task, attempt):
-                    reply = Message(
-                        MessageTag.FAILURE, worker, 0, (task, attempt),
-                        next(self._ids),
-                    )
-                else:
-                    value = self._result_fn(task) if self._result_fn else task
-                    reply = Message(
-                        MessageTag.RESULT, worker, 0, (task, value),
-                        next(self._ids),
-                    )
-                self.stats[worker].bytes_sent += self.channel.size_of(reply)
-                self.channel.send(reply, self._master_receive)
-
-            self.clock.schedule(service, finish)
-        elif message.tag is MessageTag.SHUTDOWN:
-            pass  # worker exits
-        else:  # pragma: no cover - protocol guard
-            raise MessagingError(f"worker got unexpected {message.tag}")
-
-    # -- driver ------------------------------------------------------------------
-    def run(
-        self,
-        tasks: list,
-        service_fn: Callable[[object], float],
-        result_fn: Callable[[object], object] | None = None,
-        fail_fn: Callable[[object, int], bool] | None = None,
-    ) -> float:
-        """Execute all tasks; returns the simulated makespan."""
-        self._service_fn = service_fn
-        self._result_fn = result_fn
-        self._fail_fn = fail_fn
-        self._queue = [(t, 0) for t in tasks]
-        start = self.clock.now
-        # Workers announce themselves (MPI ranks starting up).
-        for worker in range(1, self.n_workers + 1):
-            msg = Message(MessageTag.WORK_REQUEST, worker, 0, None, next(self._ids))
-            self.channel.send(msg, self._master_receive)
-        self.clock.run()
-        return self.clock.now - start
-
-    @property
-    def communication_seconds(self) -> float:
-        """Total simulated time spent in message transfer."""
-        return self.channel.message_count * self.channel.base_latency
-
-
-# -- real socket transport ----------------------------------------------------
-
 #: Frame header: big-endian uint32 body length + one flags byte.
 FRAME_HEADER = struct.Struct(">IB")
 
@@ -327,22 +109,6 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
         chunks.append(chunk)
         got += len(chunk)
     return b"".join(chunks)
-
-
-def compressed_nbytes(payload: object, min_bytes: int = COMPRESS_MIN_BYTES) -> int:
-    """On-wire payload size under the transport's compression rule.
-
-    Mirrors :func:`send_frame`: bodies under ``min_bytes`` ship raw, and
-    a deflated body is only kept when it is actually smaller.
-    """
-    raw = payload_nbytes(payload)
-    if raw < min_bytes:
-        return raw
-    try:
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception:
-        return raw
-    return min(raw, len(zlib.compress(blob)))
 
 
 def send_frame(

@@ -234,7 +234,7 @@ def resume_failed(
     than the run that produced the failures.
 
     Likewise for the run *context*: with ``context=None``, the original
-    run's journaled context (kernel mode, energy-table resolution,
+    run's journaled context (grid spacing, engine parameters,
     fault-injection setup — see
     :func:`repro.workflow.journal.recover_context`) is recovered from
     provenance, so resumed attempts execute under the same

@@ -18,12 +18,15 @@ from repro.core.scidock import (
     SciDockConfig,
     build_scidock_sim_workflow,
     build_scidock_workflow,
+    resume_scidock,
     run_scidock,
 )
 from repro.core.spec import scidock_xml
 from repro.chem.generate import receptor_contains_mercury, receptor_size_class
 from repro.perf.cost_model import ActivityCostModel
 from repro.provenance.queries import query1_activity_statistics, query2_files
+from repro.provenance.store import ProvenanceStore
+from repro.workflow.journal import RunJournal
 from repro.workflow.spec import parse_workflow_xml
 
 ACTIVITY_TAGS = [
@@ -197,3 +200,42 @@ class TestSimWorkflow:
             {"receptor_id": "2HHN", "ligand_id": "042"}, {}
         )
         assert out[0]["engine"] == "vina"
+
+
+class TestResumeRefusesTablesJournal:
+    """A run journaled under the removed energy tables fails closed."""
+
+    def _tables_journal(self) -> tuple[ProvenanceStore, int]:
+        # What a run started with ``--etables`` journaled before the
+        # table kernels were removed: the kernel keys in the run-started
+        # context and one docked tuple carrying a table-kernel energy.
+        store = ProvenanceStore()
+        wkfid = store.begin_workflow("SciDock", starttime=0.0)
+        journal = RunJournal(store, wkfid)
+        journal.run_started(
+            "SciDock",
+            pipeline=True,
+            context={
+                "scenario": "ad4",
+                "seed": 0,
+                "grid_spacing": 0.6,
+                "kernel": "tables",
+                "etable_dr": 0.005,
+                "etable_rmax": 8.0,
+            },
+            relation_size=2,
+        )
+        key = "2HHN|0E6"
+        journal.scheduled(7, key, {"receptor_id": "2HHN"}, None)
+        journal.completed(
+            7, key, [{"receptor": "2HHN", "ligand": "0E6", "feb": -6.123}]
+        )
+        return store, wkfid
+
+    def test_resume_raises_before_executing_anything(self):
+        store, wkfid = self._tables_journal()
+        runs_before = store.sql("SELECT COUNT(*) AS n FROM hworkflow")[0]["n"]
+        with pytest.raises(ValueError, match="table-driven energy kernels"):
+            resume_scidock(wkfid, store, SciDockConfig(scenario="ad4", workers=1))
+        runs_after = store.sql("SELECT COUNT(*) AS n FROM hworkflow")[0]["n"]
+        assert runs_after == runs_before

@@ -60,7 +60,6 @@ class DenseAutoGrid(AutoGrid):
         box: GridBox,
         ligand_types: tuple[str, ...] | list[str],
     ) -> GridMaps:
-        assert self.etables is None, "the oracle is the analytic build"
         started = time.perf_counter()
         points = box.points()  # (P, 3)
         P = points.shape[0]

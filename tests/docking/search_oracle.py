@@ -484,16 +484,14 @@ def ad4_dock(
 ) -> DockingResult:
     """Dock a prepared ligand; deterministic for a given seed."""
     started = time.perf_counter()
-    scorer = AD4Scorer(self.maps, ligand.molecule, etables=self.etables)
+    scorer = AD4Scorer(self.maps, ligand.molecule)
     tree = ligand.tree
     reference = tree.reference
 
     # Vectorized objective: the GA scores each generation (and
     # Solis-Wets its probe pairs) through one batched pose + grid
     # gather instead of per-individual Python round trips.
-    objective = PoseEnergyObjective(
-        tree, scorer.docking_energy_batch, kernel=scorer.kernel
-    )
+    objective = PoseEnergyObjective(tree, scorer.docking_energy_batch)
 
     # The GA searches translations around the box center relative to
     # the ligand's root reference position.
@@ -555,13 +553,7 @@ def ad4_dock(
 def vina_dock(self: Vina, ligand: LigandPreparation, seed: int = 0) -> DockingResult:
     """Dock a prepared ligand; deterministic for a given seed."""
     started = time.perf_counter()
-    scorer = VinaScorer(
-        self.receptor,
-        ligand.molecule,
-        self.box,
-        maps=self.maps,
-        etables=self.etables,
-    )
+    scorer = VinaScorer(self.receptor, ligand.molecule, self.box, maps=self.maps)
     tree = ligand.tree
     reference = tree.reference
 

@@ -10,7 +10,6 @@ from repro.chem.formats.sdf import parse_sdf, write_sdf
 from repro.chem.molecule import Molecule
 from repro.cloud.simclock import SimClock
 from repro.perf.metrics import efficiency, improvement_percent, speedup
-from repro.workflow.messaging import MasterWorkerProtocol
 from repro.workflow.relation import Relation, tuple_key
 from repro.workflow.scheduler import GreedyCostScheduler, PendingActivation
 from repro.cloud.cluster import CoreHandle
@@ -166,21 +165,3 @@ class TestSchedulerProperties:
         assert sched.overhead_seconds(n_ready, n_cores) <= sched.overhead_seconds(
             n_ready, n_cores + 1
         )
-
-
-class TestMessagingProperties:
-    @given(
-        st.lists(st.floats(0.1, 10, allow_nan=False), min_size=1, max_size=15),
-        st.integers(1, 6),
-    )
-    @settings(max_examples=20, deadline=None)
-    def test_all_tasks_complete_and_makespan_bounded_below(self, services, workers):
-        proto = MasterWorkerProtocol(n_workers=workers)
-        makespan = proto.run(
-            tasks=list(range(len(services))),
-            service_fn=lambda t: services[t],
-        )
-        assert len(proto.results) == len(services)
-        # Makespan can never beat perfect parallelism.
-        assert makespan >= max(services) - 1e-9
-        assert makespan >= sum(services) / workers - 1e-9

@@ -1,168 +1,8 @@
-"""Unit tests for the MPJ-style master/worker messaging layer."""
+"""Unit tests for the master/worker wire layer."""
 
 import pytest
 
-from repro.cloud.simclock import SimClock
-from repro.workflow.messaging import (
-    Channel,
-    MasterWorkerProtocol,
-    Message,
-    MessageTag,
-    MessagingError,
-)
-
-
-class TestChannel:
-    def test_latency_model(self):
-        clock = SimClock()
-        ch = Channel(clock, base_latency=0.01, bandwidth=1000)
-        small = Message(MessageTag.TASK, 0, 1, "x")
-        big = Message(MessageTag.TASK, 0, 1, "x" * 10_000)
-        assert ch.latency_of(big) > ch.latency_of(small) > 0.01
-
-    def test_validation(self):
-        with pytest.raises(MessagingError):
-            Channel(SimClock(), base_latency=-1)
-        with pytest.raises(MessagingError):
-            Channel(SimClock(), bandwidth=0)
-
-    def test_delivery_happens_after_latency(self):
-        clock = SimClock()
-        ch = Channel(clock, base_latency=0.5)
-        got = []
-        ch.send(Message(MessageTag.TASK, 0, 1, "p"), got.append)
-        assert got == []
-        clock.run()
-        assert len(got) == 1
-        assert clock.now >= 0.5
-
-    def test_accounting(self):
-        clock = SimClock()
-        ch = Channel(clock)
-        ch.send(Message(MessageTag.TASK, 0, 1, "abc"), lambda m: None)
-        assert ch.message_count == 1
-        assert ch.delivered_bytes > 0
-
-
-class TestMasterWorker:
-    def test_requires_workers(self):
-        with pytest.raises(MessagingError):
-            MasterWorkerProtocol(0)
-
-    def test_all_tasks_complete(self):
-        proto = MasterWorkerProtocol(n_workers=3)
-        makespan = proto.run(
-            tasks=list(range(10)),
-            service_fn=lambda t: 1.0,
-            result_fn=lambda t: t * 2,
-        )
-        assert makespan > 0
-        assert len(proto.results) == 10
-        assert sorted(v for _, v in proto.results) == [t * 2 for t in range(10)]
-
-    def test_work_spread_across_workers(self):
-        proto = MasterWorkerProtocol(n_workers=4)
-        proto.run(tasks=list(range(20)), service_fn=lambda t: 1.0)
-        busy = [s.tasks_done for s in proto.stats.values()]
-        assert sum(busy) == 20
-        assert max(busy) <= 8  # roughly balanced
-
-    def test_more_workers_shorter_makespan(self):
-        def run(n):
-            proto = MasterWorkerProtocol(n_workers=n)
-            return proto.run(tasks=list(range(24)), service_fn=lambda t: 2.0)
-
-        assert run(8) < run(2)
-
-    def test_longest_task_first(self):
-        """Greedy handout: the big task goes out in the first wave."""
-        proto = MasterWorkerProtocol(n_workers=1)
-        order = []
-        proto.run(
-            tasks=[1, 100, 10],
-            service_fn=lambda t: float(t),
-            result_fn=lambda t: order.append(t),
-        )
-        assert order[0] == 100
-
-    def test_failure_retry(self):
-        attempts = {}
-
-        def fail_fn(task, attempt):
-            attempts[task] = attempts.get(task, 0) + 1
-            return attempt == 0  # first try fails, retry succeeds
-
-        proto = MasterWorkerProtocol(n_workers=2, max_retries=3)
-        proto.run(tasks=["a", "b"], service_fn=lambda t: 1.0, fail_fn=fail_fn)
-        assert len(proto.results) == 2
-        assert proto.dropped == []
-        assert sum(s.tasks_failed for s in proto.stats.values()) == 2
-
-    def test_retries_exhausted_drops_task(self):
-        proto = MasterWorkerProtocol(n_workers=1, max_retries=2)
-        proto.run(
-            tasks=["doomed"],
-            service_fn=lambda t: 1.0,
-            fail_fn=lambda t, a: True,
-        )
-        assert proto.results == []
-        assert proto.dropped == ["doomed"]
-
-    def test_communication_overhead_grows_with_messages(self):
-        proto_few = MasterWorkerProtocol(n_workers=2)
-        proto_few.run(tasks=list(range(4)), service_fn=lambda t: 1.0)
-        proto_many = MasterWorkerProtocol(n_workers=2)
-        proto_many.run(tasks=list(range(40)), service_fn=lambda t: 1.0)
-        assert proto_many.communication_seconds > proto_few.communication_seconds
-
-    def test_makespan_includes_latency(self):
-        clock = SimClock()
-        slow = Channel(clock, base_latency=5.0)
-        proto = MasterWorkerProtocol(n_workers=1, clock=clock, channel=slow)
-        makespan = proto.run(tasks=["t"], service_fn=lambda t: 1.0)
-        # request + task + result latencies dominate the 1 s service.
-        assert makespan > 10.0
-
-    def test_deterministic(self):
-        def run():
-            proto = MasterWorkerProtocol(n_workers=3)
-            return proto.run(tasks=list(range(12)), service_fn=lambda t: float(t % 4))
-
-        assert run() == run()
-
-
-class _BigRepr:
-    """Huge repr, tiny pickle (by-reference class + empty state)."""
-
-    def __repr__(self):
-        return "x" * 1_000_000
-
-
-class TestPickleSizedLatency:
-    def test_latency_charges_pickle_size_not_repr_size(self):
-        """A payload with a huge repr but tiny pickle must be charged
-        its wire size: frames carry pickles, not reprs."""
-        import pickle
-
-        BigRepr = _BigRepr
-        ch = Channel(SimClock(), base_latency=0.0, bandwidth=1.0)
-        msg = Message(MessageTag.TASK, 0, 1, BigRepr())
-        wire = len(pickle.dumps(msg.payload, protocol=pickle.HIGHEST_PROTOCOL))
-        assert ch.size_of(msg) == wire
-        assert ch.latency_of(msg) == pytest.approx(wire)
-        assert ch.size_of(msg) < 10_000  # nowhere near the repr size
-
-    def test_unpicklable_payload_falls_back_to_repr(self):
-        ch = Channel(SimClock())
-        msg = Message(MessageTag.TASK, 0, 1, lambda: None)
-        assert ch.size_of(msg) > 0
-
-    def test_worker_stats_count_wire_bytes(self):
-        proto = MasterWorkerProtocol(n_workers=2)
-        proto.run(tasks=["a" * 100, "b" * 200], service_fn=lambda t: 1.0)
-        received = sum(s.bytes_received for s in proto.stats.values())
-        sent = sum(s.bytes_sent for s in proto.stats.values())
-        assert received > 0 and sent > 0
+from repro.workflow.messaging import Message, MessageTag, MessagingError
 
 
 class TestFrameConn:
@@ -394,13 +234,3 @@ class TestFrameCompression:
         finally:
             left.close()
             right.close()
-
-    def test_channel_compression_accounting(self):
-        clock = SimClock()
-        plain = Channel(clock)
-        packed = Channel(clock, compress_min_bytes=64)
-        msg = Message(MessageTag.TASK, 0, 1, "z" * 20_000)
-        assert packed.size_of(msg) < plain.size_of(msg)
-        assert packed.latency_of(msg) < plain.latency_of(msg)
-        packed.send(msg, lambda m: None)
-        assert packed.bytes_saved > 0
