@@ -682,7 +682,7 @@ def test_prep_first_touch(monkeypatch, tmp_path):
     serve = Director._serve_artifact
 
     def deflating(self, conn, request):
-        conn.enable_compression(self.compress_min_bytes)
+        conn.enable_compression()
         return serve(self, conn, request)
 
     fetches = 2 if SMOKE else 8
@@ -914,8 +914,8 @@ def test_distributed_scatter_throughput():
     scattering across two worker nodes — four remote slots against two
     local threads — must win even on a single-core host: the speedup
     comes from concurrency in the sleep, not from CPU parallelism. The
-    distributed leg runs three wire variants — the legacy one-frame-
-    per-task protocol, TASK_BATCH framing, and TASK_BATCH + zlib — and
+    distributed leg runs three wire variants — one task per TASK_BATCH
+    frame, eight per frame, and eight per frame + zlib — and
     breaks out what each transport costs per tuple: wire bytes
     (serialization) and the non-sleep residue of the makespan (protocol
     overhead — handshakes, credit round-trips, heartbeats). Batched +
@@ -1011,7 +1011,7 @@ def test_distributed_scatter_throughput():
         assert report.nodes_joined == n_nodes
         return report
 
-    batch_kwargs = {"batch_size": 8, "batch_linger": 0.005}
+    batch_kwargs = {"batch_size": 8}
     reports = {
         "unbatched": _scatter({}),
         "batched": _scatter(dict(batch_kwargs)),

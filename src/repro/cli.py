@@ -58,7 +58,6 @@ def _exec_kwargs(args: argparse.Namespace) -> dict:
         "min_nodes": args.min_nodes,
         "join_timeout": args.join_timeout,
         "batch_size": args.batch_size,
-        "batch_linger": args.batch_linger,
         "compress_frames": args.compress_frames,
     }
 
@@ -338,18 +337,13 @@ def _add_exec_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--batch-size", type=int, default=1, metavar="K",
         help="(--backend distributed) activation tuples per TASK_BATCH "
-        "frame, amortizing per-frame wire overhead (default 1 = one "
-        "frame per task, the legacy protocol)",
-    )
-    parser.add_argument(
-        "--batch-linger", type=float, default=0.005, metavar="SECONDS",
-        help="(--backend distributed) how long a partial batch waits "
-        "for more members before shipping anyway (default 0.005)",
+        "frame, amortizing per-frame wire overhead (default 1 = every "
+        "task ships in its own one-member frame)",
     )
     parser.add_argument(
         "--compress-frames", action="store_true",
         help="(--backend distributed) negotiate zlib compression of "
-        "large frames (task batches, artifact bundles) with worker "
+        "large frames (task and result batches) with worker "
         "nodes that support it",
     )
     parser.add_argument(

@@ -111,11 +111,8 @@ class SciDockConfig:
     #: every node has died) before the run errors out.
     join_timeout: float = 60.0
     #: Activation tuples per TASK_BATCH frame on the distributed wire
-    #: (1 = one frame per task, the legacy protocol).
+    #: (1 = every task ships in its own one-member frame).
     batch_size: int = 1
-    #: Seconds a partial batch may linger waiting for more members
-    #: before it is flushed to its node anyway.
-    batch_linger: float = 0.005
     #: Negotiate zlib compression of large frames with worker nodes.
     compress_frames: bool = False
 
@@ -135,8 +132,6 @@ class SciDockConfig:
             raise ValueError("join_timeout must be positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.batch_linger < 0:
-            raise ValueError("batch_linger must be >= 0")
         if self.scheduler not in ("fifo", "greedy"):
             raise ValueError(f"unknown scheduler {self.scheduler!r}")
         if self.watchdog_timeout is not None and self.watchdog_timeout <= 0:
@@ -361,7 +356,6 @@ def build_scidock_engine(
         min_nodes=config.min_nodes,
         join_timeout=config.join_timeout,
         batch_size=config.batch_size,
-        batch_linger=config.batch_linger,
         compress_frames=config.compress_frames,
     )
 

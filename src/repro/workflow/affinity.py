@@ -7,12 +7,14 @@ receptor to the same worker process, so that worker's per-run caches
 
 A single ``ProcessPoolExecutor`` offers no placement control, so the
 router keeps N *single-worker* pools — task-to-process placement is then
-exact — fed by parent-side deques and one dispatcher thread per worker.
-Routing is hash-affinity: ``stable_hash(key) % workers``. When a
-worker's own queue runs dry its dispatcher steals from the longest
-queue, trading a cache miss for idle time; the stolen task still
-attaches the shared artifact plane, so the miss costs an attach, not a
-rebuild.
+exact — fed by one dispatcher thread per worker. Every placement
+question (which slot's backlog a task joins, what an idle dispatcher
+takes next, where a drained slot's backlog goes) is answered by the
+shared :class:`~repro.workflow.placement.Placement` core, called under
+the router's lock: a dispatcher that finds its own backlog dry steals
+the oldest task of the longest backlog whose worker is busy, trading a
+cache miss for idle time; the stolen task still attaches the shared
+artifact plane, so the miss costs an attach, not a rebuild.
 
 Fault machinery (driven by the engine's watchdog and retry policy):
 
@@ -25,10 +27,10 @@ Fault machinery (driven by the engine's watchdog and retry policy):
   healing path replaces it. Deliberate watchdog kills do not count
   against the worker's health.
 * A slot that accumulates ``quarantine_after`` *consecutive* unexpected
-  deaths is quarantined instead of endlessly healed: its backlog is
-  redistributed, new submissions re-hash over the surviving slots, and
-  the run degrades gracefully on fewer workers. The last live slot is
-  never quarantined.
+  deaths is quarantined instead of endlessly healed: the placement core
+  drops it, re-placing its backlog and re-hashing new submissions over
+  the surviving slots, and the run degrades gracefully on fewer
+  workers. The last live slot is never quarantined.
 
 Elasticity: :meth:`AffinityRouter.resize` grows or shrinks the live
 slot count mid-run. Growth appends fresh single-worker pools (each with
@@ -39,39 +41,19 @@ process shut down once its in-flight task finishes.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import signal
 import threading
 import time
-from collections import deque
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable
 
+from repro.workflow.placement import Placement
+
 
 class RouterError(RuntimeError):
     """Raised for tasks rejected or orphaned by router shutdown."""
-
-
-def stable_hash(key: str) -> int:
-    """Process-stable hash (builtin ``hash`` is salted per process)."""
-    digest = hashlib.sha256(key.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "little")
-
-
-def sticky_index(key: str, n: int) -> int:
-    """Deterministic home index for ``key`` among ``n`` candidates.
-
-    The one placement rule used at every granularity: slot-level by the
-    :class:`AffinityRouter` (which worker process a receptor's
-    activations revisit) and node-level by the distributed director
-    (which worker *node* holds a receptor's shared-memory map plane).
-    Same key + same candidate count = same home, in any process.
-    """
-    if n < 1:
-        raise ValueError("need at least one placement candidate")
-    return stable_hash(key) % n
 
 
 def probe_worker(*_args: Any) -> int:
@@ -86,12 +68,11 @@ def sleepy_probe(seconds: float, *_args: Any) -> int:
 
 
 class _Task:
-    __slots__ = ("fn", "args", "future", "home")
+    __slots__ = ("fn", "args", "future")
 
-    def __init__(self, fn: Callable, args: tuple, home: int) -> None:
+    def __init__(self, fn: Callable, args: tuple) -> None:
         self.fn = fn
         self.args = args
-        self.home = home
         self.future: Future = Future()
 
 
@@ -110,7 +91,6 @@ class AffinityRouter:
             raise ValueError("workers must be >= 1")
         if quarantine_after < 1:
             raise ValueError("quarantine_after must be >= 1")
-        self.workers = workers
         self.quarantine_after = quarantine_after
         self._mp_context = mp_context
         self._initializer = initializer
@@ -119,35 +99,32 @@ class AffinityRouter:
         #: probe submitted at pool creation (single-worker pools execute
         #: FIFO, so the probe resolves before any real task runs).
         self._pid_futures: list[Future] = []
-        for _ in range(workers):
-            pool, pid_future = self._new_pool()
-            self._pools.append(pool)
-            self._pid_futures.append(pid_future)
-        self._queues: list[deque[_Task]] = [deque() for _ in range(workers)]
-        self._busy: list[bool] = [False] * workers
+        self._busy: list[bool] = []
         #: Task currently executing on each slot (for abort targeting).
-        self._running: list[_Task | None] = [None] * workers
+        self._running: list[_Task | None] = []
+        self._consecutive_failures: list[int] = []
+        #: Backlogs per live slot; quarantined and retired slots leave it.
+        self._placement = Placement(running=lambda i: int(self._busy[i]))
+        #: Queued (not yet dispatched) tasks by future, for abort.
+        self._queued: dict[Future, _Task] = {}
         #: Slots the engine's watchdog killed on purpose — their next
         #: BrokenProcessPool is expected and not a health strike.
         self._expected_kills: set[int] = set()
-        self._consecutive_failures: list[int] = [0] * workers
-        self._quarantined: list[bool] = [False] * workers
-        #: Slots drained by an elastic scale-down; like quarantined
-        #: slots they take no new work, but retirement is deliberate and
-        #: carries no health stigma.
-        self._retired: list[bool] = [False] * workers
         self._lock = threading.Lock()
         self._work_ready = threading.Condition(self._lock)
         self._shutdown = False
         self.routed = 0
-        self.steals = 0
         self.quarantined_workers = 0
-        self._dispatchers = [
-            threading.Thread(target=self._dispatch, args=(i,), daemon=True)
-            for i in range(workers)
-        ]
-        for thread in self._dispatchers:
-            thread.start()
+        self._dispatchers: list[threading.Thread] = []
+        #: Slots ever created (live, quarantined and retired alike).
+        self.workers = 0
+        with self._lock:
+            for _ in range(workers):
+                self._add_slot()
+
+    @property
+    def steals(self) -> int:
+        return self._placement.steals
 
     def _new_pool(self) -> tuple[ProcessPoolExecutor, Future]:
         pool = ProcessPoolExecutor(
@@ -157,33 +134,31 @@ class AffinityRouter:
         )
         return pool, pool.submit(probe_worker)
 
-    def _live_slots(self) -> list[int]:
-        return [
-            i
-            for i in range(self.workers)
-            if not self._quarantined[i] and not self._retired[i]
-        ]
+    def _add_slot(self) -> None:
+        """A fresh single-worker pool with its own dispatcher thread
+        (called under the lock)."""
+        pool, pid_future = self._new_pool()
+        slot = self.workers
+        self.workers += 1
+        self._pools.append(pool)
+        self._pid_futures.append(pid_future)
+        self._busy.append(False)
+        self._running.append(None)
+        self._consecutive_failures.append(0)
+        self._placement.add(slot)
+        thread = threading.Thread(target=self._dispatch, args=(slot,), daemon=True)
+        self._dispatchers.append(thread)
+        thread.start()
 
     # -- submission ----------------------------------------------------------
     def submit(self, affinity_key: str | None, fn: Callable, *args: Any) -> Future:
-        """Queue a task for the key's home worker (least-loaded if keyless).
-
-        Quarantined slots are skipped: keyed tasks re-hash over the live
-        slots (still deterministic per key), keyless tasks consider only
-        live queues.
-        """
+        """Queue a task for the key's home worker (least-loaded if keyless)."""
+        task = _Task(fn, args)
         with self._lock:
             if self._shutdown:
                 raise RouterError("router is shut down")
-            live = self._live_slots()
-            if affinity_key is None:
-                home = min(live, key=lambda i: len(self._queues[i]))
-            else:
-                home = sticky_index(affinity_key, self.workers)
-                if self._quarantined[home] or self._retired[home]:
-                    home = live[sticky_index(affinity_key, len(live))]
-            task = _Task(fn, args, home)
-            self._queues[home].append(task)
+            self._placement.place(task, affinity_key)
+            self._queued[task.future] = task
             self.routed += 1
             self._work_ready.notify_all()
         return task.future
@@ -200,7 +175,7 @@ class AffinityRouter:
         with self._lock:
             if self._shutdown:
                 raise RouterError("router is shut down")
-            pools = [self._pools[i] for i in self._live_slots()]
+            pools = [self._pools[i] for i in self._placement.live]
         results: list[Any] = []
         for pool in pools:
             try:
@@ -222,19 +197,16 @@ class AffinityRouter:
         not count toward quarantine.
         """
         with self._lock:
-            for queue in self._queues:
-                for task in queue:
-                    if task.future is future:
-                        queue.remove(task)
-                        future.set_exception(
-                            RouterError("aborted by watchdog while queued")
-                        )
-                        return "dequeued"
+            task = self._queued.pop(future, None)
+            if task is not None:
+                self._placement.discard(task)
+                future.set_exception(RouterError("aborted by watchdog while queued"))
+                return "dequeued"
             worker = next(
                 (
                     i
-                    for i, task in enumerate(self._running)
-                    if task is not None and task.future is future
+                    for i, running in enumerate(self._running)
+                    if running is not None and running.future is future
                 ),
                 None,
             )
@@ -254,33 +226,18 @@ class AffinityRouter:
 
     # -- dispatch ------------------------------------------------------------
     def _take_task(self, worker: int) -> _Task | None:
-        """Own queue first; when dry, steal the longest *busy* backlog.
+        """Ask the placement core for this idle worker's next task.
 
-        Stealing is restricted to queues whose home worker is currently
-        executing — an idle home worker is about to drain its own queue,
-        and grabbing its task would break stickiness for nothing.
-        Quarantined slots neither execute nor get stolen from (their
-        queues were redistributed at quarantine time).
+        A dispatcher only asks when its worker is idle, so it may always
+        steal; the victims are slots whose worker is busy — an idle home
+        worker is about to drain its own queue.
         """
-        if self._quarantined[worker] or self._retired[worker]:
-            return None
-        own = self._queues[worker]
-        if own:
-            return own.popleft()
-        victims = [
-            i
-            for i in range(self.workers)
-            if i != worker
-            and self._busy[i]
-            and self._queues[i]
-            and not self._quarantined[i]
-            and not self._retired[i]
-        ]
-        if victims:
-            victim = max(victims, key=lambda i: len(self._queues[i]))
-            self.steals += 1
-            return self._queues[victim].popleft()
-        return None
+        task = self._placement.take(
+            worker, may_steal=True, saturated=lambda i: self._busy[i]
+        )
+        if task is not None:
+            del self._queued[task.future]
+        return task
 
     def _dispatch(self, worker: int) -> None:
         while True:
@@ -313,7 +270,8 @@ class AffinityRouter:
                     self._consecutive_failures[worker] = 0
                 retired_pool = (
                     pool
-                    if self._retired[worker] and self._pools[worker] is pool
+                    if worker not in self._placement.live
+                    and self._pools[worker] is pool
                     else None
                 )
                 self._work_ready.notify_all()
@@ -342,7 +300,7 @@ class AffinityRouter:
             self._expected_kills.discard(worker)
             if expected:
                 self._consecutive_failures[worker] = 0
-            if self._retired[worker]:
+            if worker not in self._placement.live:
                 # A retired slot was on its way out anyway: no
                 # replacement, no health strike.
                 return
@@ -350,23 +308,13 @@ class AffinityRouter:
                 self._consecutive_failures[worker] += 1
                 if (
                     self._consecutive_failures[worker] >= self.quarantine_after
-                    and len(self._live_slots()) > 1
+                    and len(self._placement.live) > 1
                 ):
-                    self._quarantine_locked(worker)
+                    self.quarantined_workers += 1
+                    self._placement.remove(worker)
+                    self._work_ready.notify_all()
                     return
             self._pools[worker], self._pid_futures[worker] = self._new_pool()
-
-    def _quarantine_locked(self, worker: int) -> None:
-        """Retire a chronically dying slot; redistribute its backlog."""
-        self._quarantined[worker] = True
-        self.quarantined_workers += 1
-        backlog = list(self._queues[worker])
-        self._queues[worker].clear()
-        live = self._live_slots()
-        for task in backlog:
-            target = min(live, key=lambda i: len(self._queues[i]))
-            self._queues[target].append(task)
-        self._work_ready.notify_all()
 
     # -- elasticity ----------------------------------------------------------
     def resize(self, target: int) -> int:
@@ -375,53 +323,29 @@ class AffinityRouter:
         Growth appends fresh single-worker pools, each with its own
         dispatcher thread. Shrinkage retires slots — idle ones first,
         then highest index — through the quarantine drain path: a
-        retired slot takes no new work, its backlog is redistributed to
-        the least-loaded live queues, and its process shuts down as soon
-        as any in-flight task completes. The last live slot is never
-        retired. Returns the resulting live slot count.
+        retired slot takes no new work, the placement core re-places its
+        backlog, and its process shuts down as soon as any in-flight
+        task completes. The last live slot is never retired. Returns the
+        resulting live slot count.
         """
         idle_pools: list[ProcessPoolExecutor] = []
         with self._lock:
             if self._shutdown:
                 raise RouterError("router is shut down")
             target = max(1, int(target))
-            live = self._live_slots()
-            if target > len(live):
-                for _ in range(target - len(live)):
-                    pool, pid_future = self._new_pool()
-                    self._pools.append(pool)
-                    self._pid_futures.append(pid_future)
-                    self._queues.append(deque())
-                    self._busy.append(False)
-                    self._running.append(None)
-                    self._consecutive_failures.append(0)
-                    self._quarantined.append(False)
-                    self._retired.append(False)
-                    slot = self.workers
-                    self.workers += 1
-                    thread = threading.Thread(
-                        target=self._dispatch, args=(slot,), daemon=True
-                    )
-                    self._dispatchers.append(thread)
-                    thread.start()
-            elif target < len(live):
+            live = list(self._placement.live)
+            for _ in range(target - len(live)):
+                self._add_slot()
+            if target < len(live):
                 # Idle slots first (their processes can drop right now),
                 # then newest; sort key is (busy, -index).
                 victims = sorted(live, key=lambda i: (self._busy[i], -i))
                 for worker in victims[: len(live) - target]:
-                    self._retired[worker] = True
-                    backlog = list(self._queues[worker])
-                    self._queues[worker].clear()
-                    remaining = self._live_slots()
-                    for task in backlog:
-                        dest = min(
-                            remaining, key=lambda i: len(self._queues[i])
-                        )
-                        self._queues[dest].append(task)
+                    self._placement.remove(worker)
                     if not self._busy[worker]:
                         idle_pools.append(self._pools[worker])
             self._work_ready.notify_all()
-            survivors = len(self._live_slots())
+            survivors = len(self._placement.live)
         for pool in idle_pools:
             pool.shutdown(wait=False)
         return survivors
@@ -432,9 +356,8 @@ class AffinityRouter:
             if self._shutdown:
                 return
             self._shutdown = True
-            pending = [task for queue in self._queues for task in queue]
-            for queue in self._queues:
-                queue.clear()
+            pending = self._placement.drain()
+            self._queued.clear()
             self._work_ready.notify_all()
         for task in pending:
             if not task.future.done():

@@ -4,7 +4,10 @@ SciCumulus distributes activations over MPJ: rank 0 holds the activation
 queue, worker ranks pull work, execute, and push results. This module is
 that architecture over plain TCP, built on the shared wire vocabulary in
 :mod:`repro.workflow.messaging` (length-prefixed pickled frames, a
-credit-based WORK_REQUEST pull protocol, HEARTBEAT liveness).
+credit-based pull protocol, HEARTBEAT liveness). Tasks always travel in
+TASK_BATCH frames (one member when ``batch_size`` is 1 or a partial
+batch is flushed) and completions in RESULT_BATCH frames that carry the
+freed credits; WORK_REQUEST is only a node's initial grant.
 
 The :class:`Director` deliberately implements the same duck-type as the
 in-process :class:`~repro.workflow.affinity.AffinityRouter` —
@@ -18,11 +21,13 @@ future as a :class:`~repro.workflow.affinity.RouterError` — an
 *infrastructure* failure, retried on the infra budget and re-placed on
 the surviving nodes.
 
-Placement generalizes the router's receptor-sticky slot choice to node
-granularity (:func:`~repro.workflow.affinity.sticky_index` over the live
-node list), so one node accumulates each receptor's artifacts; idle
-nodes steal from the longest backlog. Each accepted connection's first
-frame discriminates its role: HELLO starts a worker-node session,
+Placement is the router's: the shared
+:class:`~repro.workflow.placement.Placement` core, with worker nodes as
+its members, homes each receptor on one node so that node accumulates
+the receptor's artifacts, and lets a node with an idle slot steal from
+the longest backlog of a node that has granted credits. Each accepted
+connection's first frame discriminates its role: HELLO starts a
+worker-node session (closed at once when its wire version differs),
 ARTIFACT_REQUEST is a one-shot content-addressed fetch served from the
 director's map cache (the exchange that lets a re-placed receptor's new
 home skip rebuilding its maps).
@@ -38,25 +43,30 @@ import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 
-from repro.workflow.affinity import RouterError, sticky_index
+from repro.workflow.affinity import RouterError
 from repro.workflow.artifacts import DiskMapCache
 from repro.workflow.coordinator import ExecutionPlane
 from repro.workflow.dataflow import WorkItem
 from repro.workflow.dispatch import AttemptRunner
 from repro.workflow.fault import HeartbeatPolicy
 from repro.workflow.messaging import (
-    COMPRESS_MIN_BYTES,
     CONTEXT_REF,
+    WIRE_VERSION,
     FrameConn,
     Message,
     MessageTag,
     MessagingError,
 )
+from repro.workflow.placement import Placement
 from repro.workflow.planes import ThreadedExecutionPlane
 
 #: Bookkeeping threads the director plane keeps for in-flight attempts;
 #: threads are cheap (each just waits on a future), nodes are not.
 DIRECTOR_BOOKKEEPING_THREADS = 128
+
+#: Seconds a partial batch (and a worker's partial result batch) may
+#: wait for more members before it ships anyway.
+BATCH_LINGER = 0.005
 
 
 @dataclass
@@ -78,24 +88,21 @@ class _NodeSession:
     node_id: str
     slots: int
     conn: FrameConn
-    #: Unsent tasks homed on this node (stealable from the tail).
-    queue: list[_RemoteTask] = field(default_factory=list)
     #: Credit-consumed tasks accumulating toward the next TASK_BATCH
-    #: frame (batching mode only). Not yet on the wire: a node loss
-    #: re-homes these like queued work instead of failing them.
+    #: frame. Not yet on the wire: a node loss re-homes these like
+    #: queued work instead of failing them.
     pending: list[_RemoteTask] = field(default_factory=list)
     #: When the oldest pending task was admitted (linger clock).
     pending_since: float = 0.0
     #: Sent-but-unfinished tasks by task id.
     inflight: dict[int, _RemoteTask] = field(default_factory=dict)
-    #: Unconsumed WORK_REQUEST credits: how many more tasks the node is
-    #: ready to receive (idle slots, plus the prefetch window when
-    #: batching).
+    #: Unconsumed credits: how many more tasks the node is ready to
+    #: receive (idle slots, plus the prefetch window when batching).
     credits: int = 0
     #: The node's pull loop has granted at least one credit. Until then
-    #: a backlog in ``queue`` just means the initial WORK_REQUEST is
-    #: still in flight — not that the node is saturated — so it is not
-    #: a legitimate steal victim yet.
+    #: a backlog just means the initial WORK_REQUEST is still in flight
+    #: — not that the node is saturated — so it is not a legitimate
+    #: steal victim yet.
     credited: bool = False
     #: HELLO-negotiated frame compression for this peer.
     compress: bool = False
@@ -127,31 +134,29 @@ class Director:
         heartbeat: HeartbeatPolicy | None = None,
         cache_dir: str | None = None,
         batch_size: int = 1,
-        batch_linger: float = 0.005,
         compress: bool = False,
-        compress_min_bytes: int = COMPRESS_MIN_BYTES,
     ) -> None:
         self.min_nodes = max(1, int(min_nodes))
         self.join_timeout = join_timeout
         self.heartbeat = heartbeat or HeartbeatPolicy()
-        #: Tasks per TASK_BATCH frame; 1 keeps the legacy one-frame-per-
-        #: task wire protocol byte-for-byte.
+        #: Tasks per TASK_BATCH frame (1: every task ships on its own).
         self.batch_size = max(1, int(batch_size))
-        #: How long a partial batch may wait for more members before it
-        #: is flushed anyway (seconds); <= 0 flushes partials eagerly.
-        self.batch_linger = max(0.0, float(batch_linger))
         #: Offer zlib frame compression to peers that advertise it.
         self.compress = bool(compress)
-        self.compress_min_bytes = int(compress_min_bytes)
         #: Content-addressed bundle cache the exchange serves from.
         self.cache = DiskMapCache(cache_dir) if cache_dir else None
         self._lock = threading.RLock()
         self._capacity_cv = threading.Condition(self._lock)
         self._nodes: dict[int, _NodeSession] = {}
         self._by_future: dict[Future, _RemoteTask] = {}
-        #: Tasks whose home node died with no survivor to take them;
-        #: drained onto the next node that joins.
-        self._orphans: list[_RemoteTask] = []
+        #: Unsent tasks per ready node (by rank), plus orphans: tasks
+        #: whose home node died with no survivor, drained onto the next
+        #: node that joins. A node's "running" tasks are its batched
+        #: and in-flight ones.
+        self._placement = Placement(
+            running=lambda rank: len(self._nodes[rank].inflight)
+            + len(self._nodes[rank].pending)
+        )
         self._rank_seq = itertools.count(1)
         self._task_seq = itertools.count(1)
         self._shipped_context: dict | None = None
@@ -160,7 +165,6 @@ class Director:
         # Lifetime/wire accounting (survives node loss and shutdown).
         self.nodes_joined = 0
         self.nodes_lost = 0
-        self.steals = 0
         self.tuples_per_node: dict[str, int] = {}
         self.node_stats: dict[str, dict] = {}
         self.bytes_sent = 0
@@ -188,16 +192,20 @@ class Director:
             target=self._monitor_loop, name="director-monitor", daemon=True
         )
         self._monitor_thread.start()
-        if self.batch_size > 1 and self.batch_linger > 0:
+        if self.batch_size > 1:
             self._linger_thread = threading.Thread(
                 target=self._linger_loop, name="director-linger", daemon=True
             )
             self._linger_thread.start()
 
-    # -- router duck-type attribute (quarantine = node loss) -----------------
+    # -- router duck-type attributes (quarantine = node loss) ----------------
     @property
     def quarantined_workers(self) -> int:
         return self.nodes_lost
+
+    @property
+    def steals(self) -> int:
+        return self._placement.steals
 
     # -- run lifecycle -------------------------------------------------------
     def start_run(self, shipped_context: dict, journal=None) -> None:
@@ -290,70 +298,33 @@ class Director:
 
     def capacity(self) -> int:
         with self._lock:
-            return sum(
-                n.slots + self._prefetch
-                for n in self._nodes.values()
-                if not n.lost and n.ready
-            )
+            return sum(n.slots + self._prefetch for n in self._live_nodes_locked())
 
     def wait_for_capacity(self, timeout: float) -> bool:
+        return self.wait_for_nodes(1, timeout)
+
+    def wait_for_nodes(self, count: int, timeout: float) -> bool:
+        """Block until ``count`` nodes are live (``False`` on timeout or
+        shutdown)."""
         deadline = time.monotonic() + timeout
         with self._capacity_cv:
-            while True:
-                if self._capacity_locked():
-                    return True
+            while len(self._placement.live) < count:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0 or self._closed:
                     return False
                 self._capacity_cv.wait(remaining)
-
-    def wait_for_nodes(self, count: int, timeout: float) -> bool:
-        """Block until ``count`` nodes are live (tests / CLI startup)."""
-        deadline = time.monotonic() + timeout
-        with self._capacity_cv:
-            while True:
-                live = sum(
-                    1 for n in self._nodes.values() if not n.lost and n.ready
-                )
-                if live >= count:
-                    return True
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._capacity_cv.wait(remaining)
-
-    def _capacity_locked(self) -> bool:
-        return any(
-            not n.lost and n.ready and n.slots > 0
-            for n in self._nodes.values()
-        )
+            return True
 
     def _live_nodes_locked(self) -> list[_NodeSession]:
-        live = [
-            n for n in self._nodes.values() if not n.lost and n.ready
-        ]
-        live.sort(key=lambda n: n.rank)
-        return live
+        """Ready, not-lost nodes in join order (the placement members)."""
+        return [self._nodes[rank] for rank in self._placement.live]
 
     # -- placement -----------------------------------------------------------
     def placement(self, affinity_key: str | None) -> str | None:
         """Node an affinity key would land on right now (journal hint)."""
         with self._lock:
-            live = self._live_nodes_locked()
-            if not live:
-                return None
-            if affinity_key is None:
-                return min(
-                    live, key=lambda n: len(n.queue) + len(n.inflight)
-                ).node_id
-            return live[sticky_index(affinity_key, len(live))].node_id
-
-    def _home_for_locked(
-        self, affinity: str | None, live: list[_NodeSession]
-    ) -> _NodeSession:
-        if affinity is None:
-            return min(live, key=lambda n: len(n.queue) + len(n.inflight))
-        return live[sticky_index(affinity, len(live))]
+            rank = self._placement.home(affinity_key)
+            return None if rank is None else self._nodes[rank].node_id
 
     # -- router duck-type ----------------------------------------------------
     def submit(self, affinity_key: str | None, fn, *args) -> Future:
@@ -367,28 +338,20 @@ class Director:
         task = _RemoteTask(
             next(self._task_seq), affinity_key, fn, wired, future
         )
-        deadline = time.monotonic() + self.join_timeout
         with self._capacity_cv:
-            while True:
-                if self._closed:
-                    raise RouterError("director is shut down")
-                live = self._live_nodes_locked()
-                if live:
-                    break
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise RouterError(
-                        "no live worker nodes joined within "
-                        f"{self.join_timeout:.1f}s"
-                    )
-                self._capacity_cv.wait(remaining)
+            joined = not self._closed and self.wait_for_nodes(1, self.join_timeout)
+            if self._closed:
+                raise RouterError("director is shut down")
+            if not joined:
+                raise RouterError(
+                    f"no live worker nodes joined within {self.join_timeout:.1f}s"
+                )
             self._by_future[future] = task
-            home = self._home_for_locked(affinity_key, live)
-            home.queue.append(task)
+            home = self._nodes[self._placement.place(task, affinity_key)]
             self._flush_locked(home)
             # A homed-but-unsent task may still run elsewhere: give every
             # idle node a chance to steal it immediately.
-            for node in live:
+            for node in self._live_nodes_locked():
                 if node is not home:
                     self._flush_locked(node)
         return future
@@ -399,10 +362,9 @@ class Director:
             task = self._by_future.pop(future, None)
             if task is None or future.done():
                 return "finished"
+            if self._placement.discard(task):
+                return "dequeued"
             for node in self._nodes.values():
-                if task in node.queue:
-                    node.queue.remove(task)
-                    return "dequeued"
                 if task in node.pending:
                     # Admitted to a batch but not yet on the wire: the
                     # credit it consumed goes back to the node.
@@ -417,9 +379,6 @@ class Director:
                     except (OSError, MessagingError):
                         self._mark_lost_locked(node, "abort send failed")
                     return "killed"
-            if task in self._orphans:
-                self._orphans.remove(task)
-                return "dequeued"
         return "finished"
 
     def broadcast(self, fn, *args) -> list:
@@ -453,83 +412,51 @@ class Director:
             pass
 
     # -- dispatch internals --------------------------------------------------
-    def _next_task_locked(self, node: _NodeSession) -> _RemoteTask | None:
-        """Pop the next task for ``node``: its queue, orphans, or a steal."""
-        if node.queue:
-            return node.queue.pop(0)
-        if self._orphans:
-            return self._orphans.pop(0)
-        # Steal from the longest backlog — but demand-driven, not
-        # credit-driven: with a prefetch window a node holds more
-        # credits than slots, and spending those on a peer's backlog
-        # would skew placement (the thief queues work it cannot run
-        # while the victim's own slots go hungry). Only a node with a
-        # genuinely idle slot steals.
-        if len(node.inflight) + len(node.pending) >= node.slots:
-            return None
-        victims = [
-            n
-            for n in self._live_nodes_locked()
-            if n is not node and n.queue and n.credited
-        ]
-        if victims:
-            victim = max(victims, key=lambda n: len(n.queue))
-            self.steals += 1
-            return victim.queue.pop()
-        return None
-
     def _flush_locked(self, node: _NodeSession) -> None:
         """Move work to ``node`` while it holds credits.
 
-        With ``batch_size == 1`` every task ships immediately as its own
-        TASK frame (the legacy wire protocol, byte-for-byte). With
-        batching, credit-consumed tasks accumulate in ``node.pending``
-        and ship as one TASK_BATCH frame once ``batch_size`` members are
-        admitted; a partial batch ships when the linger window expires
-        (the linger thread) or eagerly when no linger is configured.
+        Credit-consumed tasks accumulate in ``node.pending`` and ship as
+        one TASK_BATCH frame once ``batch_size`` members are admitted (at
+        once when ``batch_size`` is 1); a partial batch ships when its
+        linger window expires (the linger thread). Stealing is demand-
+        driven, not credit-driven: with a prefetch window a node holds
+        more credits than slots, and spending those on a peer's backlog
+        would skew placement (the thief queues work it cannot run while
+        the victim's own slots go hungry). So only a node with a
+        genuinely idle slot steals, and only from a node whose pull loop
+        has granted credits.
         """
-        batching = self.batch_size > 1
         while node.credits > 0 and not node.lost:
-            task = self._next_task_locked(node)
+            task = self._placement.take(
+                node.rank,
+                may_steal=len(node.inflight) + len(node.pending) < node.slots,
+                saturated=lambda rank: self._nodes[rank].credited,
+            )
             if task is None:
                 break
             node.credits -= 1
-            if not batching:
-                self._ship_locked(node, [task])
-                continue
             if not node.pending:
                 node.pending_since = time.monotonic()
             node.pending.append(task)
             if len(node.pending) >= self.batch_size:
-                batch = node.pending[:]
-                node.pending.clear()
-                self._ship_locked(node, batch)
-        if (
-            batching
-            and node.pending
-            and not node.lost
-            and self.batch_linger <= 0
-        ):
-            batch = node.pending[:]
-            node.pending.clear()
-            self._ship_locked(node, batch)
+                self._ship_pending_locked(node)
+
+    def _ship_pending_locked(self, node: _NodeSession) -> None:
+        batch = node.pending[:]
+        node.pending.clear()
+        self._ship_locked(node, batch)
 
     def _ship_locked(self, node: _NodeSession, tasks: list[_RemoteTask]) -> None:
-        """Put one TASK or TASK_BATCH frame on the wire for ``tasks``."""
-        if not tasks:
-            return
+        """Put one TASK_BATCH frame on the wire for ``tasks``."""
         for task in tasks:
             node.inflight[task.task_id] = task
         members = [
             {"task_id": t.task_id, "fn": t.fn, "args": t.args} for t in tasks
         ]
         try:
-            if len(members) == 1:
-                node.conn.send(MessageTag.TASK, members[0], dst=node.rank)
-            else:
-                node.conn.send(
-                    MessageTag.TASK_BATCH, {"tasks": members}, dst=node.rank
-                )
+            node.conn.send(
+                MessageTag.TASK_BATCH, {"tasks": members}, dst=node.rank
+            )
             self.task_frames_sent += 1
             self.tasks_framed += len(members)
             if len(members) >= 2:
@@ -549,13 +476,7 @@ class Director:
                     if node.lost:
                         # The node died mid-retry: these members never
                         # hit the wire, so they re-home like queued work.
-                        live = self._live_nodes_locked()
-                        if live:
-                            self._home_for_locked(
-                                task.affinity, live
-                            ).queue.append(task)
-                        else:
-                            self._orphans.append(task)
+                        self._placement.place(task, task.affinity)
                     else:
                         self._ship_locked(node, [task])
                 if node.lost:
@@ -575,21 +496,15 @@ class Director:
 
     def _linger_loop(self) -> None:
         """Flush partial batches whose linger window expired."""
-        tick = max(self.batch_linger / 2.0, 0.001)
         while not self._closed:
-            time.sleep(tick)
+            time.sleep(max(BATCH_LINGER / 2.0, 0.001))
             now = time.monotonic()
             with self._lock:
                 if self._closed:
                     return
                 for node in self._live_nodes_locked():
-                    if (
-                        node.pending
-                        and now - node.pending_since >= self.batch_linger
-                    ):
-                        batch = node.pending[:]
-                        node.pending.clear()
-                        self._ship_locked(node, batch)
+                    if node.pending and now - node.pending_since >= BATCH_LINGER:
+                        self._ship_pending_locked(node)
 
     # -- connection handling -------------------------------------------------
     def _accept_loop(self) -> None:
@@ -647,7 +562,10 @@ class Director:
     def _register_node(self, conn: FrameConn, hello: Message) -> None:
         payload = hello.payload if isinstance(hello.payload, dict) else {}
         with self._lock:
-            if self._closed:
+            if self._closed or payload.get("wire") != WIRE_VERSION:
+                # A node speaking another wire version would have every
+                # result dropped: close before SETUP, count no join.
+                self._fold_conn_locked(conn)
                 conn.close()
                 return
             rank = next(self._rank_seq)
@@ -663,7 +581,7 @@ class Director:
             # compressed frame).
             if self.compress and payload.get("compress"):
                 node.compress = True
-                conn.enable_compression(self.compress_min_bytes)
+                conn.enable_compression()
             self._nodes[rank] = node
             self.nodes_joined += 1
             if self._shipped_context is not None:
@@ -687,7 +605,8 @@ class Director:
                     "heartbeat": self.heartbeat,
                     "batch": {
                         "size": self.batch_size,
-                        "linger": self.batch_linger,
+                        "linger": BATCH_LINGER,
+                        "prefetch": self._prefetch,
                     },
                     "compress": node.compress,
                 },
@@ -697,12 +616,13 @@ class Director:
             self._mark_lost_locked(node, "setup send failed")
             return
         node.ready = True
+        self._placement.add(node.rank)
         if self._journal is not None:
             self._journal.node_joined(node.node_id, node.rank, node.slots)
         self._capacity_cv.notify_all()
 
     def _node_loop(self, node: _NodeSession) -> None:
-        """Per-node receiver: results, failures, credits, liveness."""
+        """Per-node receiver: result batches, credits, liveness."""
         while True:
             try:
                 message = node.conn.recv()
@@ -723,12 +643,6 @@ class Director:
                     node.credits += int(payload.get("n", 1))
                     node.credited = True
                     self._flush_locked(node)
-                elif message.tag is MessageTag.RESULT:
-                    self._finish_entry_locked(node, payload, failed=False)
-                    self._credit_locked(node, payload)
-                elif message.tag is MessageTag.FAILURE:
-                    self._finish_entry_locked(node, payload, failed=True)
-                    self._credit_locked(node, payload)
                 elif message.tag is MessageTag.RESULT_BATCH:
                     for entry in payload.get("results") or []:
                         if not isinstance(entry, dict):
@@ -736,7 +650,9 @@ class Director:
                         self._finish_entry_locked(
                             node, entry, failed=bool(entry.get("error"))
                         )
-                    self._credit_locked(node, payload)
+                    # The freed slots' credits ride on the same frame.
+                    node.credits += int(payload.get("n", 0) or 0)
+                    self._flush_locked(node)
                 elif message.tag is MessageTag.NODE_STATS:
                     node.stats = dict(payload.get("stats") or {})
                     self.node_stats[node.node_id] = node.stats
@@ -748,7 +664,7 @@ class Director:
     def _finish_entry_locked(
         self, node: _NodeSession, entry: dict, *, failed: bool
     ) -> None:
-        """Settle one per-tuple completion (RESULT/FAILURE/batch entry)."""
+        """Settle one per-tuple completion (one RESULT_BATCH entry)."""
         task = node.inflight.pop(entry.get("task_id"), None)
         if task is None:
             return
@@ -763,17 +679,6 @@ class Director:
         )
         if not task.future.done():
             task.future.set_result(entry.get("value"))
-
-    def _credit_locked(self, node: _NodeSession, payload: dict) -> None:
-        """Apply credits piggybacked on a result frame (batching mode).
-
-        Legacy workers send a separate WORK_REQUEST per completion and
-        no ``n`` key here, so the default of 0 keeps that path intact.
-        """
-        credits = int(payload.get("n", 0) or 0)
-        if credits > 0:
-            node.credits += credits
-            self._flush_locked(node)
 
     def _monitor_loop(self) -> None:
         """Declare nodes dead after a silent heartbeat window."""
@@ -806,7 +711,7 @@ class Director:
 
         Only tasks that actually went out on the wire (``inflight``) fail
         onto the infra budget — a batch's completed members already left
-        ``inflight`` on their per-tuple RESULT, so exactly the
+        ``inflight`` on their own RESULT_BATCH entry, so exactly the
         *uncompleted* members of in-flight batches are failed here.
         Queued and pending (batched-but-unsent) tasks never reached the
         node and re-home losslessly.
@@ -817,9 +722,8 @@ class Director:
         node.stats_event.set()
         self.nodes_lost += 1
         inflight = list(node.inflight.values())
-        unsent = list(node.queue) + list(node.pending)
+        pending = list(node.pending)
         node.inflight.clear()
-        node.queue.clear()
         node.pending.clear()
         self._fold_conn_locked(node.conn)
         node.conn.close()
@@ -837,15 +741,13 @@ class Director:
                         f"task {task.task_id} in flight"
                     )
                 )
-        # Never-sent tasks are still good: re-home them now, or park
-        # them for the next node to join.
-        live = self._live_nodes_locked()
-        for task in unsent:
-            if live:
-                self._home_for_locked(task.affinity, live).queue.append(task)
-            else:
-                self._orphans.append(task)
-        for survivor in live:
+        # Never-sent tasks are still good: the placement core re-homes
+        # them now, or parks them for the next node to join.
+        if node.ready:
+            self._placement.remove(node.rank)
+        for task in pending:
+            self._placement.place(task, task.affinity)
+        for survivor in self._live_nodes_locked():
             self._flush_locked(survivor)
         self._capacity_cv.notify_all()
 
@@ -868,9 +770,9 @@ class DirectorPlane(ThreadedExecutionPlane):
 
     Bookkeeping threads and the AttemptRunner lifecycle are inherited
     unchanged from the threaded plane — the runner's router *is* the
-    director, so every attempt becomes a framed TASK (or a TASK_BATCH
-    member — batching happens inside the director's flush path; the
-    plane contract stays per-item) on some node. Capacity is the live
+    director, so every attempt becomes one member of a TASK_BATCH frame
+    on some node (batching happens inside the director's flush path;
+    the plane contract stays per-item). Capacity is the live
     nodes' slot sum plus the director's batching prefetch window (it
     moves as nodes join and die, which is the distributed pool's
     elasticity); speculation stays off because twin attempts would race

@@ -180,10 +180,11 @@ class LocalEngine:
     TCP protocol in :mod:`repro.workflow.messaging`. The director binds
     at engine construction (``engine.director_address``), implements the
     affinity-router duck-type so the attempt lifecycle is unchanged, and
-    generalizes receptor-sticky placement to node granularity — each
-    node builds its shared-memory map plane once and fetches missing
-    receptor bundles from the director's content-addressed artifact
-    exchange. Dead or silent nodes (heartbeat loss) surface their
+    places through the router's own
+    :class:`~repro.workflow.placement.Placement` core with nodes as its
+    members — each node builds its shared-memory map plane once and
+    fetches missing receptor bundles from the director's
+    content-addressed artifact exchange. Dead or silent nodes (heartbeat loss) surface their
     in-flight activations as infrastructure failures, re-placed on the
     survivors; ``engine.shutdown()`` releases the node pool.
 
@@ -199,7 +200,8 @@ class LocalEngine:
 
     The processes backend routes activations through an
     :class:`~repro.workflow.affinity.AffinityRouter` — sticky-by-receptor
-    placement with work stealing — and (unless ``shared_maps`` is
+    placement with work stealing, from the shared
+    :class:`~repro.workflow.placement.Placement` core — and (unless ``shared_maps`` is
     disabled in the context) publishes receptor grid maps into a shared
     :class:`~repro.workflow.artifacts.ArtifactPlane` so each receptor's
     maps are built once per run, not once per worker. The engine owns
@@ -254,7 +256,6 @@ class LocalEngine:
         join_timeout: float = 60.0,
         heartbeat: HeartbeatPolicy | None = None,
         batch_size: int = 1,
-        batch_linger: float = 0.005,
         compress_frames: bool = False,
     ) -> None:
         if workers < 1:
@@ -295,7 +296,6 @@ class LocalEngine:
                 join_timeout=join_timeout,
                 heartbeat=heartbeat,
                 batch_size=batch_size,
-                batch_linger=batch_linger,
                 compress=compress_frames,
             )
 

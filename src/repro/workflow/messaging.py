@@ -24,12 +24,17 @@ from dataclasses import dataclass
 from enum import Enum
 
 
+#: Version of the task/result vocabulary below, carried in HELLO. A
+#: director closes a node that speaks another version before SETUP.
+WIRE_VERSION = 2
+
+
 class MessageTag(Enum):
-    # Pull-protocol core.
+    # Pull-protocol core: a node's initial credit grant, then tasks out
+    # (1..K per frame) and completions back with their credits.
     WORK_REQUEST = "WORK_REQUEST"
-    TASK = "TASK"
-    RESULT = "RESULT"
-    FAILURE = "FAILURE"
+    TASK_BATCH = "TASK_BATCH"
+    RESULT_BATCH = "RESULT_BATCH"
     SHUTDOWN = "SHUTDOWN"
     # Node lifecycle, cancellation and artifact exchange.
     HELLO = "HELLO"
@@ -39,9 +44,6 @@ class MessageTag(Enum):
     ARTIFACT_REQUEST = "ARTIFACT_REQUEST"
     ARTIFACT_DATA = "ARTIFACT_DATA"
     NODE_STATS = "NODE_STATS"
-    # Batched transport: K tasks per frame out, coalesced results back.
-    TASK_BATCH = "TASK_BATCH"
-    RESULT_BATCH = "RESULT_BATCH"
 
 
 @dataclass(frozen=True)

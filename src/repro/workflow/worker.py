@@ -3,19 +3,23 @@
 One process per node (``scidock worker --join HOST:PORT --slots N``),
 speaking the framed wire protocol in :mod:`repro.workflow.messaging`:
 
-* HELLO announces the node (id, slot count, pid); the director answers
-  with SETUP carrying the run's shipped context, the artifact-exchange
-  address and the heartbeat policy.
+* HELLO announces the node (id, slot count, pid, wire version); the
+  director answers with SETUP carrying the run's shipped context, the
+  artifact-exchange address, the heartbeat policy and the batch size.
 * The node builds its *node context* once per run: the shipped context
   plus node-local entries — a fresh cooperative-cancellation handle and
   a node-owned :class:`~repro.workflow.artifacts.ArtifactPlane` whose
-  disk cache fetches missing bundles from the director's exchange. TASK
-  frames never re-ship any of this: their argument tuples carry a
+  disk cache fetches missing bundles from the director's exchange.
+  TASK_BATCH frames never re-ship any of this: their argument tuples carry a
   :class:`~repro.workflow.messaging.ContextRef` placeholder that the
   node substitutes before executing.
-* Work is pulled, not pushed: WORK_REQUEST{n} grants the director n
-  task credits (the node's idle slots), one more after every completed
-  task — so a slow node naturally receives less work.
+* Work is pulled, not pushed: an initial WORK_REQUEST{n} grants the
+  director n task credits (the node's idle slots plus a prefetch window
+  when batching); after that every completion returns its credit on the
+  RESULT_BATCH frame that carries it — so a slow node naturally
+  receives less work. Completions coalesce for up to the linger window
+  until ``batch_size`` of them fill a frame (at ``batch_size`` 1 each
+  ships at once).
 * A daemon thread heartbeats at the policy interval; ABORT cancels a
   running task's cooperative token (the remote face of the watchdog);
   NODE_STATS requests report plane/transport counters and drop the
@@ -42,6 +46,7 @@ from repro.workflow.fault import (
     CancelTokenHandle,
 )
 from repro.workflow.messaging import (
+    WIRE_VERSION,
     ContextRef,
     FrameConn,
     MessageTag,
@@ -99,11 +104,11 @@ class WorkerNode:
         self._handle = CancelTokenHandle()
         self._pool: ThreadPoolExecutor | None = None
         self._stop = threading.Event()
-        # SETUP-negotiated transport config (legacy until told otherwise).
+        # SETUP-negotiated transport config.
         self._batch_size = 1
         self._linger = 0.0
-        # Completion coalescer (batching mode): finished-member entries
-        # waiting to ride one RESULT_BATCH frame.
+        # Completion coalescer: finished-member entries waiting to ride
+        # one RESULT_BATCH frame.
         self._results: list[dict] = []
         self._results_since = 0.0
         self._results_cv = threading.Condition()
@@ -119,6 +124,7 @@ class WorkerNode:
                 "node_id": self.node_id,
                 "slots": self.slots,
                 "pid": os.getpid(),
+                "wire": WIRE_VERSION,
                 # Capability advertisement: this node can inflate zlib
                 # frames (the director enables compression per peer only
                 # when both sides agree).
@@ -143,8 +149,6 @@ class WorkerNode:
                 )
                 if message.tag is MessageTag.SETUP:
                     self._setup(payload)
-                elif message.tag is MessageTag.TASK:
-                    self._enqueue(payload)
                 elif message.tag is MessageTag.TASK_BATCH:
                     # Members execute independently on slot threads;
                     # tokens are registered per member right here so an
@@ -225,9 +229,9 @@ class WorkerNode:
                 daemon=True,
             )
             self._flusher.start()
-        # Initial credit grant: idle slots, plus a prefetch window in
-        # batching mode so the director can fill whole batches.
-        prefetch = self._batch_size if self._batch_size > 1 else 0
+        # Initial credit grant: idle slots, plus the director's prefetch
+        # window so it can fill whole batches.
+        prefetch = int(batch.get("prefetch", 0))
         self.conn.send(MessageTag.WORK_REQUEST, {"n": self.slots + prefetch})
 
     def _heartbeat_loop(self, interval: float) -> None:
@@ -239,7 +243,7 @@ class WorkerNode:
 
     # -- task execution ------------------------------------------------------
     def _enqueue(self, payload: dict) -> None:
-        """Admit one task (solo or batch member) to the slot pool.
+        """Admit one batch member to the slot pool.
 
         The cancellation token is created and registered *now*, before
         the task reaches a slot thread, so a director ABORT addressed at
@@ -251,7 +255,7 @@ class WorkerNode:
         self._pool.submit(self._execute, payload, token)
 
     def _execute(self, payload: dict, token: CancellationToken) -> None:
-        """Run one task on a slot thread; report RESULT or FAILURE."""
+        """Run one task on a slot thread; report its result or failure."""
         task_id = payload.get("task_id")
         try:
             if token.cancelled:
@@ -284,33 +288,18 @@ class WorkerNode:
                 self._tokens.pop(task_id, None)
 
     def _complete(self, entry: dict) -> None:
-        """Report one finished member; coalesced when batching is on."""
-        if self._batch_size <= 1:
-            # Legacy wire protocol, byte-for-byte: one RESULT/FAILURE
-            # frame, then a separate one-credit WORK_REQUEST.
-            failed = bool(entry.pop("error", False))
-            self._reply(
-                MessageTag.FAILURE if failed else MessageTag.RESULT, entry
-            )
-            return
+        """Report one finished member: it ships once a frame's worth of
+        completions has gathered, or when the linger window expires."""
         with self._results_cv:
             if not self._results:
                 self._results_since = time.monotonic()
             self._results.append(entry)
-            if len(self._results) >= self._batch_size or self._linger <= 0:
+            if len(self._results) >= self._batch_size:
                 self._flush_results_locked()
             else:
                 self._results_cv.notify_all()
 
-    def _reply(self, tag: MessageTag, payload: dict) -> None:
-        try:
-            self.conn.send(tag, payload)
-            # The freed slot pulls its next task.
-            self.conn.send(MessageTag.WORK_REQUEST, {"n": 1})
-        except (OSError, MessagingError):  # pragma: no cover - director gone
-            self._stop.set()
-
-    # -- result coalescer (batching mode) ------------------------------------
+    # -- result coalescer ----------------------------------------------------
     def _flush_results(self) -> None:
         with self._results_cv:
             self._flush_results_locked()
@@ -322,19 +311,11 @@ class WorkerNode:
         entries = self._results[:]
         self._results.clear()
         try:
-            if len(entries) == 1:
-                entry = dict(entries[0])
-                failed = bool(entry.pop("error", False))
-                entry["n"] = 1
-                self.conn.send(
-                    MessageTag.FAILURE if failed else MessageTag.RESULT, entry
-                )
-            else:
-                self.conn.send(
-                    MessageTag.RESULT_BATCH,
-                    {"results": entries, "n": len(entries)},
-                )
-                self.result_batches_sent += 1
+            self.conn.send(
+                MessageTag.RESULT_BATCH,
+                {"results": entries, "n": len(entries)},
+            )
+            self.result_batches_sent += 1
         except (OSError, MessagingError):  # pragma: no cover - director gone
             self._stop.set()
 

@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.provenance.store import ProvenanceStore
+from repro.workflow import distributed
 from repro.workflow.activity import Activity, Operator, Workflow
 from repro.workflow.engine import LocalEngine
 from repro.workflow.relation import Relation
@@ -61,20 +62,17 @@ def _spawn_worker(address, node_id: str) -> subprocess.Popen:
     )
 
 
-#: CI matrix axis: the legacy one-frame-per-task protocol, and the
-#: batched + zlib-compressed wire path (TASK_BATCH / RESULT_BATCH).
+#: CI matrix axis: one task per TASK_BATCH frame, and four per frame
+#: with zlib-compressed frames (lingering 0.02 s for partial batches).
 WIRE_MODES = {
-    "plain": {},
-    "batched-zlib": {
-        "batch_size": 4,
-        "batch_linger": 0.02,
-        "compress_frames": True,
-    },
+    "unbatched": {},
+    "batched-zlib": {"batch_size": 4, "compress_frames": True},
 }
 
 
 @pytest.mark.parametrize("wire", sorted(WIRE_MODES))
-def test_two_workers_survive_one_sigkill(wire):
+def test_two_workers_survive_one_sigkill(wire, monkeypatch):
+    monkeypatch.setattr(distributed, "BATCH_LINGER", 0.02)
     wf = Workflow(
         "smoke", [Activity("paced", Operator.MAP, fn=da.paced)]
     )

@@ -31,6 +31,7 @@ if da is None:
     _spec.loader.exec_module(da)
 
 from repro.provenance.store import ProvenanceStore  # noqa: E402
+from repro.workflow import distributed  # noqa: E402
 from repro.workflow.activity import Activity, Operator, Workflow  # noqa: E402
 from repro.workflow.engine import LocalEngine  # noqa: E402
 from repro.workflow.relation import Relation  # noqa: E402
@@ -59,10 +60,10 @@ def main(db_path: str, gate_path: str, mode: str = "plain") -> None:
     # "batched" exercises the TASK_BATCH + zlib wire path so the parent
     # can assert crash-resume semantics survive transport batching.
     wire_kwargs = (
-        {"batch_size": 4, "batch_linger": 0.02, "compress_frames": True}
-        if mode == "batched"
-        else {}
+        {"batch_size": 4, "compress_frames": True} if mode == "batched" else {}
     )
+    if mode == "batched":
+        distributed.BATCH_LINGER = 0.02
     engine = LocalEngine(
         store,
         workers=2,

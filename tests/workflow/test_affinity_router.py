@@ -12,8 +12,8 @@ from repro.workflow.affinity import (
     RouterError,
     probe_worker,
     sleepy_probe,
-    stable_hash,
 )
+from repro.workflow.placement import stable_hash
 
 
 @pytest.fixture(scope="module")

@@ -30,7 +30,7 @@ import numpy as np
 import pytest
 
 from repro.provenance.store import ProvenanceStore
-from repro.workflow import messaging
+from repro.workflow import distributed, messaging
 from repro.workflow.activity import Activity, Operator, Workflow
 from repro.workflow.artifacts import ArtifactPlane
 from repro.workflow.distributed import Director
@@ -476,7 +476,8 @@ class TestBatchedGoldenParity:
     """TASK_BATCH + zlib frames are a transport detail: results, journal
     and lineage must be bit-for-bit identical to the unbatched run."""
 
-    def test_batched_compressed_run_matches_threads_run(self):
+    def test_batched_compressed_run_matches_threads_run(self, monkeypatch):
+        monkeypatch.setattr(distributed, "BATCH_LINGER", 0.05)
         wf_t = _two_stage_workflow()
         store_t = ProvenanceStore()
         threads_report = LocalEngine(
@@ -491,7 +492,6 @@ class TestBatchedGoldenParity:
             min_nodes=2,
             join_timeout=30.0,
             batch_size=4,
-            batch_linger=0.05,
             compress_frames=True,
         )
         workers = [
@@ -579,7 +579,13 @@ class TestRawBundleExchange:
     ):
         node = messaging.connect(director.address, timeout=5.0)
         node.send(
-            MessageTag.HELLO, {"node_id": "raw-node", "slots": 1, "compress": True}
+            MessageTag.HELLO,
+            {
+                "node_id": "raw-node",
+                "slots": 1,
+                "compress": True,
+                "wire": messaging.WIRE_VERSION,
+            },
         )
         deadline = time.monotonic() + 5.0
         while not director._nodes and time.monotonic() < deadline:
@@ -638,7 +644,10 @@ class TestRawBundleExchange:
 
 
 class TestBatchedNodeLoss:
-    def test_sigkill_mid_batch_reexecutes_only_uncompleted_members(self):
+    def test_sigkill_mid_batch_reexecutes_only_uncompleted_members(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(distributed, "BATCH_LINGER", 0.02)
         wf = Workflow(
             "distbatchloss", [Activity("paced", Operator.MAP, fn=da.paced)]
         )
@@ -661,7 +670,6 @@ class TestBatchedNodeLoss:
             min_nodes=2,
             join_timeout=30.0,
             batch_size=4,
-            batch_linger=0.02,
             compress_frames=True,
         )
         victim = _spawn_worker(engine.director_address, "bvictim")
@@ -712,7 +720,10 @@ class TestBatchedNodeLoss:
 
 
 class TestLateJoin:
-    def test_node_joining_mid_run_takes_over_after_sole_node_dies(self):
+    def test_node_joining_mid_run_takes_over_after_sole_node_dies(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(distributed, "BATCH_LINGER", 0.02)
         wf = Workflow(
             "distlate", [Activity("paced", Operator.MAP, fn=da.paced)]
         )
@@ -735,7 +746,6 @@ class TestLateJoin:
             min_nodes=1,
             join_timeout=60.0,
             batch_size=4,
-            batch_linger=0.02,
             compress_frames=True,
         )
         early = _spawn_worker(engine.director_address, "early")
@@ -787,45 +797,52 @@ class TestLateJoin:
         assert {"node-joined", "node-lost"} <= events
 
 
+def _fake_node(director, node_id, credits):
+    """A ready node session on one end of a socketpair; the other end
+    (returned) plays the worker."""
+    from repro.workflow.distributed import _NodeSession
+    from repro.workflow.messaging import FrameConn
+
+    a, b = socket.socketpair()
+    node = _NodeSession(
+        rank=next(director._rank_seq),
+        node_id=node_id,
+        slots=2,
+        conn=FrameConn(a),
+    )
+    node.ready = True
+    node.credits = credits
+    with director._lock:
+        director._nodes[node.rank] = node
+        director._placement.add(node.rank)
+        director.nodes_joined += 1
+    return node, FrameConn(b)
+
+
+def _release(director, peers) -> None:
+    with director._lock:
+        for node in director._nodes.values():
+            node.stats_event.set()
+    director.shutdown()
+    for peer in peers:
+        peer.close()
+
+
 class TestOrphanDrainWhiteBox:
     """Director-level: a lost node's unsent backlog (queued + batched-
     pending) becomes orphans when no survivor exists, and the next node
     to join drains it; only wire-inflight members fail onto infra."""
 
-    def _fake_node(self, director, node_id, credits):
-        import socket as socket_mod
-
-        from repro.workflow.distributed import _NodeSession
-        from repro.workflow.messaging import FrameConn
-
-        a, b = socket_mod.socketpair()
-        node = _NodeSession(
-            rank=next(director._rank_seq),
-            node_id=node_id,
-            slots=2,
-            conn=FrameConn(a),
-        )
-        node.ready = True
-        node.credits = credits
-        with director._lock:
-            director._nodes[node.rank] = node
-            director.nodes_joined += 1
-        return node, FrameConn(b)
-
-    def test_orphaned_backlog_drains_to_next_joining_node(self):
+    def test_orphaned_backlog_drains_to_next_joining_node(self, monkeypatch):
         from repro.workflow.affinity import RouterError
-        from repro.workflow.distributed import Director
-        from repro.workflow.messaging import MessageTag
 
-        director = Director(
-            min_nodes=1,
-            join_timeout=5.0,
-            batch_size=4,
-            batch_linger=60.0,  # never auto-flush: the test drives it
-        )
+        # Never auto-flush: the test drives the linger window by hand.
+        monkeypatch.setattr(distributed, "BATCH_LINGER", 60.0)
+        director = Director(min_nodes=1, join_timeout=5.0, batch_size=4)
+        placement = director._placement
         peers = []
         try:
-            doomed, peer_a = self._fake_node(director, "doomed", credits=5)
+            doomed, peer_a = _fake_node(director, "doomed", credits=5)
             peers.append(peer_a)
             futures = [
                 director.submit(None, da.prep, {"key": f"wb{i}"})
@@ -838,7 +855,7 @@ class TestOrphanDrainWhiteBox:
             members = frame.payload["tasks"]
             assert len(members) == 4
             assert len(doomed.pending) == 1
-            assert len(doomed.queue) == 2
+            assert len(placement.backlog(doomed.rank)) == 2
 
             # One batch member completes before the node dies.
             with director._lock:
@@ -857,22 +874,20 @@ class TestOrphanDrainWhiteBox:
                 with pytest.raises(RouterError):
                     future.result(timeout=5.0)
             # ...while the never-sent backlog is orphaned, not failed.
-            assert len(director._orphans) == 3
+            assert len(placement.orphans) == 3
             assert all(not f.done() for f in futures[4:])
             assert director.nodes_lost == 1
             assert director.tuples_per_node == {"doomed": 1}
 
-            late, peer_b = self._fake_node(director, "late", credits=6)
+            late, peer_b = _fake_node(director, "late", credits=6)
             peers.append(peer_b)
             with director._lock:
                 director._flush_locked(late)
                 # The whole orphan backlog was admitted to the new
                 # node's batch; expire the linger window by hand.
-                assert not director._orphans
+                assert not placement.orphans
                 assert len(late.pending) == 3
-                batch = late.pending[:]
-                late.pending.clear()
-                director._ship_locked(late, batch)
+                director._ship_pending_locked(late)
             frame = peer_b.recv()
             assert frame.tag is MessageTag.TASK_BATCH
             drained = frame.payload["tasks"]
@@ -888,9 +903,65 @@ class TestOrphanDrainWhiteBox:
                 assert future.result(timeout=5.0) == "late-done"
             assert director.tuples_per_node["late"] == 3
         finally:
-            with director._lock:
-                for node in director._nodes.values():
-                    node.stats_event.set()
-            director.shutdown()
-            for peer in peers:
-                peer.close()
+            _release(director, peers)
+
+
+class TestSingleFraming:
+    """Tasks always travel as TASK_BATCH and completions as RESULT_BATCH,
+    whatever the batch size; a HELLO from another wire version is
+    refused before SETUP."""
+
+    def test_unbatched_tasks_ship_as_one_member_batches(self):
+        director = Director(min_nodes=1, join_timeout=5.0, batch_size=1)
+        node, peer = _fake_node(director, "solo", credits=1)
+        threading.Thread(
+            target=director._node_loop, args=(node,), daemon=True
+        ).start()
+        try:
+            futures = [
+                director.submit("R1", da.prep, {"key": f"u{i}"})
+                for i in range(3)
+            ]
+            for i, future in enumerate(futures):
+                frame = peer.recv()
+                assert frame.tag is MessageTag.TASK_BATCH
+                [member] = frame.payload["tasks"]
+                with director._lock:
+                    # One credit: the rest wait for this result's credit.
+                    assert node.credits == 0
+                    assert len(director._placement.backlog(node.rank)) == 2 - i
+                peer.send(
+                    MessageTag.RESULT_BATCH,
+                    {"results": [{"task_id": member["task_id"], "value": i}], "n": 1},
+                )
+                assert future.result(timeout=5.0) == i
+            assert director.task_frames_sent == director.tasks_framed == 3
+            assert director.batches_sent == 0
+        finally:
+            _release(director, [peer])
+
+    def test_hello_from_another_wire_version_is_closed_before_setup(self):
+        from repro.workflow.messaging import WIRE_VERSION, FrameConn
+
+        director = Director(min_nodes=1, join_timeout=5.0)
+        director.start_run({"run": "context"})
+        peers = []
+
+        def hello(payload):
+            a, b = socket.socketpair()
+            peer = FrameConn(b)
+            peers.append(peer)
+            peer.send(MessageTag.HELLO, payload)
+            director._serve_connection(FrameConn(a))
+            return peer.recv()
+
+        try:
+            for wire in ({}, {"wire": WIRE_VERSION - 1}, {"wire": "2"}):
+                assert hello({"node_id": "old", "slots": 1, **wire}) is None
+            assert director.nodes_joined == 0
+            assert not director._nodes
+            setup = hello({"node_id": "current", "slots": 1, "wire": WIRE_VERSION})
+            assert setup.tag is MessageTag.SETUP
+            assert director.nodes_joined == 1
+        finally:
+            _release(director, peers)

@@ -14,10 +14,10 @@ class TestFrameConn:
         a, b = socket.socketpair()
         left, right = FrameConn(a), FrameConn(b)
         try:
-            left.send(MessageTag.TASK, {"task_id": 7, "args": [1, 2]}, dst=3)
+            left.send(MessageTag.TASK_BATCH, {"task_id": 7, "args": [1, 2]}, dst=3)
             got = right.recv()
             assert got is not None
-            assert got.tag is MessageTag.TASK
+            assert got.tag is MessageTag.TASK_BATCH
             assert got.dst == 3
             assert got.payload == {"task_id": 7, "args": [1, 2]}
             # Byte counters agree across the pair and include headers.
@@ -112,7 +112,7 @@ class TestFrameHardening:
 
         a, b = socket.socketpair()
         try:
-            msg = Message(MessageTag.TASK, 0, 1, "x" * 4096)
+            msg = Message(MessageTag.TASK_BATCH, 0, 1, "x" * 4096)
             send_frame(a, msg)
             with pytest.raises(MessagingError, match="oversized"):
                 recv_frame(b, max_frame_bytes=256)
@@ -197,7 +197,7 @@ class TestFrameCompression:
         left, right = self._pair()
         try:
             left.enable_compression(min_bytes=0)
-            left.send(MessageTag.RESULT, {"value": "v" * 10_000})
+            left.send(MessageTag.RESULT_BATCH, {"value": "v" * 10_000})
             got = right.recv()
             assert got is not None
             assert got.payload == {"value": "v" * 10_000}
