@@ -372,53 +372,85 @@ def _kernel_fixture():
     return rec_prep, lig, box
 
 
+def _traced_peak_mib(fn) -> float:
+    """tracemalloc peak of one ``fn()`` call, in MiB (not timed)."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        fn()
+        return round(tracemalloc.get_traced_memory()[1] / 2**20, 1)
+    finally:
+        tracemalloc.stop()
+
+
 def test_map_build_pruning():
-    """AutoGrid cold map build: the pruned build vs the full sweep.
+    """Cold AutoGrid and Vina map builds: the pruned builds vs the full sweep.
 
     The per-receptor setup cost the campaign amortizes over 42 ligands —
     the paper's preparation-phase argument. The full sweep is the dense
-    ``(points x atoms)`` oracle the tests keep; the analytic build
-    enumerates only in-cutoff (point, atom) pairs, must reproduce its
-    maps bit for bit and must beat it.
+    ``(points x atoms)`` oracle the tests keep; the analytic builds
+    stream only in-cutoff (point, atom) pairs, must reproduce its maps
+    bit for bit and must beat it. Each variant's traced peak (one
+    untimed build under tracemalloc) is recorded next to its time.
     """
     from repro.docking.autogrid import AutoGrid
-    from tests.docking.dense_maps import DenseAutoGrid
+    from repro.docking.scoring_vina import STANDARD_CLASSES, build_vina_maps
+    from tests.docking.dense_maps import DenseAutoGrid, dense_build_vina_maps
 
     rec_prep, lig, box = _kernel_fixture()
+    receptor = rec_prep.molecule
     types = lig.atom_types if SMOKE else ("C", "A", "N", "NA", "OA", "SA", "HD")
 
-    full_sweep_s = _best_of(
-        lambda: DenseAutoGrid().run(rec_prep.molecule, box, types)
-    )
-    analytic_s = _best_of(
-        lambda: AutoGrid().run(rec_prep.molecule, box, types)
-    )
-
-    analytic_speedup = full_sweep_s / analytic_s
-
-    maps_d = DenseAutoGrid().run(rec_prep.molecule, box, types)
-    maps_a = AutoGrid().run(rec_prep.molecule, box, types)
-    for t in maps_a.affinity:
-        assert np.array_equal(maps_a.affinity[t], maps_d.affinity[t]), t
-
+    builders = {
+        "ad4": (
+            lambda: DenseAutoGrid().run(receptor, box, types),
+            lambda: AutoGrid().run(receptor, box, types),
+        ),
+        "vina": (
+            lambda: dense_build_vina_maps(receptor, box),
+            lambda: build_vina_maps(receptor, box),
+        ),
+    }
     payload = {
         "grid_points": int(np.prod(box.shape)),
         "map_types": len(types),
-        "full_sweep_s": full_sweep_s,
-        "analytic_s": analytic_s,
-        "analytic_speedup": round(analytic_speedup, 2),
+        "vina_classes": len(STANDARD_CLASSES),
         "asserted": not SMOKE,
     }
+    for name, (full_sweep, analytic) in builders.items():
+        maps_d, maps_a = full_sweep(), analytic()
+        if name == "ad4":
+            pairs = [(maps_a.affinity[t], maps_d.affinity[t]) for t in types]
+        else:
+            pairs = [(maps_a.grids[c], maps_d.grids[c]) for c in maps_d.grids]
+        for got, want in pairs:
+            assert np.array_equal(got, want), name
+        full_sweep_s = _best_of(full_sweep)
+        analytic_s = _best_of(analytic)
+        payload[name] = {
+            "full_sweep_s": full_sweep_s,
+            "analytic_s": analytic_s,
+            "analytic_speedup": round(full_sweep_s / analytic_s, 2),
+            "full_sweep_peak_mib": _traced_peak_mib(full_sweep),
+            "analytic_peak_mib": _traced_peak_mib(analytic),
+        }
     if SMOKE:
         payload["skipped_reason"] = "REPRO_BENCH_SMOKE=1"
     _record("map_build_pruning", payload)
-    print(
-        f"\nmap build pruning ({payload['grid_points']} points, "
-        f"{len(types)} maps): full sweep {full_sweep_s * 1e3:.0f} ms, "
-        f"analytic {analytic_s * 1e3:.0f} ms ({analytic_speedup:.2f}x)"
-    )
+    for name in builders:
+        leg = payload[name]
+        print(
+            f"\n{name} map build pruning ({payload['grid_points']} points): "
+            f"full sweep {leg['full_sweep_s'] * 1e3:.0f} ms "
+            f"({leg['full_sweep_peak_mib']} MiB peak), analytic "
+            f"{leg['analytic_s'] * 1e3:.0f} ms ({leg['analytic_peak_mib']} MiB "
+            f"peak, {leg['analytic_speedup']:.2f}x)"
+        )
     if not SMOKE:
-        assert analytic_speedup > 1.0, f"analytic build only {analytic_speedup:.2f}x"
+        for name in builders:
+            speedup = payload[name]["analytic_speedup"]
+            assert speedup > 1.0, f"{name} analytic build only {speedup:.2f}x"
 
 
 def test_search_overhead():
@@ -601,9 +633,9 @@ def test_prep_first_touch(monkeypatch, tmp_path):
     """A node's first touch of a receptor or ligand: prep and map fetch.
 
     Receptor prep (1ME4, 2P7U) and the 42-ligand library prep run
-    through the original PEOE key lookup, ring test and torsion-root
-    search (``tests/chem/prep_oracle.py``) and through the current
-    one-pass versions; charges, PDBQT text and torsion trees must be
+    through the original PEOE key lookup, ring test, torsion-root
+    search and dense bond perception (``tests/chem/prep_oracle.py``)
+    and through the current one-pass and row-blocked versions; charges, PDBQT text and torsion trees must be
     identical before anything is timed. The exchange leg fetches one AD4 map
     bundle (2P7U, 0.6 A spacing, nine maps) from a director that
     deflates it, as a negotiated-compression director used to, and from
@@ -614,6 +646,7 @@ def test_prep_first_touch(monkeypatch, tmp_path):
 
     from repro.chem import charges, torsions
     from repro.chem.generate import generate_ligand, generate_receptor
+    from repro.chem.molecule import Molecule
     from repro.chem.torsions import TorsionTree
     from repro.core.activities import STANDARD_MAP_TYPES
     from repro.core.datasets import CP_LIGANDS
@@ -635,6 +668,7 @@ def test_prep_first_touch(monkeypatch, tmp_path):
                 m.setattr(charges, "_param_keys", oracle.param_keys)
                 m.setattr(torsions, "find_rotatable_bonds", oracle.find_rotatable_bonds)
                 m.setattr(TorsionTree, "_pick_root", oracle._pick_root)
+                m.setattr(Molecule, "perceive_bonds", oracle.perceive_bonds)
                 return fn()
         return run
 

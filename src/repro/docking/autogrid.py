@@ -8,10 +8,13 @@ electrostatic and desolvation maps, the ``.fld`` grid-field metadata and
 the ``.glg`` log.
 
 The analytic build only visits the ``(grid point, receptor atom)``
-pairs within the cutoff (:func:`~repro.docking.neighbors.lattice_pairs`)
-and accumulates them per ``(receptor type, atom chunk)`` block with
-``np.bincount``; the maps are bit-identical to a dense
-``(P points x N atoms)`` sweep.
+pairs within the cutoff, streamed a few atoms at a time
+(:func:`~repro.docking.neighbors.lattice_blocks`). Every term is
+evaluated on one such block while it is in cache and added with
+``np.add.at`` into accumulators of one ``(receptor type, atom chunk)``;
+each chunk's sums are then added to the maps. ``np.add.at`` adds in
+pair order, as one ``np.bincount`` over the chunk's pairs would, so the
+maps are bit-identical to a dense ``(P points x N atoms)`` sweep.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 from repro.chem.molecule import Molecule
 from repro.docking.box import GridBox
 from repro.docking import forcefield as ff
-from repro.docking.neighbors import lattice_pairs
+from repro.docking.neighbors import lattice_blocks
 
 
 class GridError(ValueError):
@@ -185,8 +188,9 @@ class AutoGrid:
     ----------
     chunk_atoms:
         Receptor atoms of one type are accumulated in chunks of this
-        size: each chunk's in-cutoff pairs are gathered, evaluated and
-        added to the maps as one block.
+        size: each chunk's in-cutoff pairs are summed per grid point,
+        and the chunk's sums are added to the maps. It fixes the
+        association of every point's float sum, not the working set.
     cutoff:
         Nonbonded cutoff (inclusive). Receptor atoms farther than this
         from the box faces along any axis are skipped entirely; the
@@ -250,50 +254,62 @@ class AutoGrid:
 
         for rt, group_idx in by_type.items():
             rt_vol = ff.AUTODOCK_TYPES[rt].vol
+            # The vdW row is shared by every ligand type with the same
+            # pair parameters (C and A).
+            by_params: dict[ff.PairParams, list[str]] = {}
+            for lt in affinity:
+                by_params.setdefault(ff.pair_params(lt, rt), []).append(lt)
             for start in range(0, len(group_idx), self.chunk_atoms):
                 sel = group_idx[start : start + self.chunk_atoms]
-                # In-cutoff (point, atom) pairs only, atom-major: each
-                # point's bincount sum runs in ascending atom order, as
-                # it would over the full points x atoms sweep.
-                pi, ci, r = lattice_pairs(box, rec_coords[sel], self.cutoff)
-                if pi.size == 0:
-                    continue
-                rv = np.maximum(r, 0.01)
-                qv = rec_charges[sel][ci]
-                # Electrostatic map: potential per unit probe charge,
-                # per-pair clamped like the pairwise Coulomb kernel.
-                eps = ff.mehler_solmajer_dielectric(rv)
-                e_pair = np.clip(
-                    332.06363 * qv / (eps * rv),
-                    -ff.ESTAT_CLAMP,
-                    ff.ESTAT_CLAMP,
-                )
-                electro += np.bincount(pi, weights=e_pair, minlength=P)
-                # Desolvation envelope weighted by receptor atom volume;
-                # the scorer multiplies by |q_ligand|, so the charge-based
-                # solvation parameter and the FE weight live in the map.
-                envelope = ff.desolvation_envelope(rv)
-                desolv += np.bincount(
-                    pi,
-                    weights=ff.FE_COEFF_DESOLV * envelope * rt_vol * 0.01097,
-                    minlength=P,
-                )
-                # Per-ligand-type affinity maps (vdW/H-bond + pair desolv).
-                # The envelope and the receptor-charge solvation term are
-                # shared by every type, the vdW row by every type with the
-                # same pair parameters (C and A).
-                rec_solv = ff.solvation_parameter(rt, qv)
-                by_params: dict[ff.PairParams, list[str]] = {}
-                for lt in affinity:
-                    by_params.setdefault(ff.pair_params(lt, rt), []).append(lt)
-                for p, lts in by_params.items():
-                    weight = ff.FE_COEFF_HBOND if p.is_hbond else ff.FE_COEFF_VDW
-                    vdw = ff.vdw_energy(rv, p) * weight
-                    for lt in lts:
-                        e = vdw + ff.FE_COEFF_DESOLV * ff.pair_desolvation(
-                            lt, rt, lig_solv[lt], rec_solv, envelope
-                        )
-                        affinity[lt] += np.bincount(pi, weights=e, minlength=P)
+                sel_charges = rec_charges[sel]
+                # Per-chunk sums, added to in stream (ascending atom)
+                # order and then to the maps: the association of the
+                # dense oracle's one bincount per chunk.
+                chunk_electro = np.zeros(P)
+                chunk_desolv = np.zeros(P)
+                chunk_affinity = {lt: np.zeros(P) for lt in affinity}
+                # In-cutoff (point, atom) pairs only, one cache-sized
+                # block at a time, every term evaluated on the block.
+                for pi, ci, r in lattice_blocks(box, rec_coords[sel], self.cutoff):
+                    rv = np.maximum(r, 0.01)
+                    qv = sel_charges[ci]
+                    # Electrostatic map: potential per unit probe charge,
+                    # per-pair clamped like the pairwise Coulomb kernel.
+                    eps = ff.mehler_solmajer_dielectric(rv)
+                    e_pair = np.clip(
+                        332.06363 * qv / (eps * rv),
+                        -ff.ESTAT_CLAMP,
+                        ff.ESTAT_CLAMP,
+                    )
+                    np.add.at(chunk_electro, pi, e_pair)
+                    # Desolvation envelope weighted by receptor atom
+                    # volume; the scorer multiplies by |q_ligand|, so the
+                    # charge-based solvation parameter and the FE weight
+                    # live in the map.
+                    envelope = ff.desolvation_envelope(rv)
+                    np.add.at(
+                        chunk_desolv,
+                        pi,
+                        ff.FE_COEFF_DESOLV * envelope * rt_vol * 0.01097,
+                    )
+                    # Per-ligand-type affinity maps (vdW/H-bond + pair
+                    # desolv). The envelope and the receptor-charge
+                    # solvation term are shared by every type.
+                    rec_solv = ff.solvation_parameter(rt, qv)
+                    for p, lts in by_params.items():
+                        weight = ff.FE_COEFF_HBOND if p.is_hbond else ff.FE_COEFF_VDW
+                        vdw = ff.vdw_energy(rv, p) * weight
+                        for lt in lts:
+                            e = vdw + ff.FE_COEFF_DESOLV * ff.pair_desolvation(
+                                lt, rt, lig_solv[lt], rec_solv, envelope
+                            )
+                            np.add.at(chunk_affinity[lt], pi, e)
+                # A chunk without pairs adds +0.0, which changes no sum
+                # that started at +0.0.
+                electro += chunk_electro
+                desolv += chunk_desolv
+                for lt, grid in affinity.items():
+                    grid += chunk_affinity[lt]
 
         return self._package(
             box, receptor, affinity, electro, desolv, N, started

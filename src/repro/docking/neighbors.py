@@ -2,12 +2,14 @@
 
 Two pruning layers live here:
 
-* **Spatial** — :func:`lattice_pairs`, the enumerator of the
+* **Spatial** — :func:`lattice_blocks`, the stream of the
   ``(grid point, atom)`` pairs within the nonbonded cutoff that replaces
   the ``O(points x receptor_atoms)`` dense distance sweep of the
   AutoGrid and Vina map builds: each atom walks the grid rows of its
-  cutoff sphere, and pairs come out atom-major so the maps keep the
-  dense sweep's summation order.
+  cutoff sphere, the pairs of ``ATOMS_PER_BLOCK`` atoms are yielded
+  together so a builder evaluates its terms on one cache-sized block,
+  and pairs come out atom-major so the maps keep the dense sweep's
+  summation order. :func:`lattice_pairs` is the stream concatenated.
 * **Topological** — :func:`bond_separation_pairs`, the memoized
   bond-graph BFS behind the AD4/Vina intramolecular pair tables.
   Scorers are rebuilt per activation (and per worker process), but the
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -31,8 +33,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.docking.box import GridBox
 
 
-#: Atoms whose lattice candidates are enumerated together; bounds the
-#: candidate working set at ~``ATOMS_PER_BLOCK`` cutoff spheres.
+#: Atoms whose lattice pairs are enumerated and yielded together. At the
+#: campaigns' 0.6 A spacing and 8 A cutoff a block is up to ~160k pairs
+#: (~1.3 MB per float64 term), so a builder's per-block temporaries stay
+#: a few MiB. 16 and 32 built 1ME4/2P7U maps equally fast on 2 vCPU;
+#: 16 has the smaller peak, 4 and 64 were slower.
 ATOMS_PER_BLOCK = 16
 
 
@@ -41,25 +46,31 @@ def _ranks(counts: np.ndarray) -> np.ndarray:
     return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def lattice_pairs(
+def lattice_blocks(
     box: "GridBox", coords: np.ndarray, cutoff: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All ``(grid point, atom)`` pairs of ``box`` within ``cutoff``.
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Stream the ``(grid point, atom)`` pairs of ``box`` within ``cutoff``.
 
-    The map builders' pair enumerator. Each atom only visits the grid
-    indices of its cutoff sphere: per lattice row ``(ix, iy)`` of its
-    sub-cube, the ``iz`` span the sphere can reach, padded by one index
-    on each side, so rounding in the span never drops a pair. The
-    ``r2 <= cutoff**2`` test on the candidates is the same
-    ``einsum`` over ``(point - atom)`` differences the dense
-    ``(P x N x 3)`` sweep evaluates, so the pair set and every
-    distance are bit-identical to it.
+    The map builders' pair enumerator. Atoms are taken
+    ``ATOMS_PER_BLOCK`` at a time, and each block's pairs are yielded as
+    ``(pi, ai, r)`` — flat grid-point indices (``box.points()`` order),
+    atom indices into ``coords`` and distances — so a builder evaluates
+    its terms on one cache-sized block instead of on the pair list of a
+    whole chunk. Blocks without a pair are skipped.
 
-    Returns ``(pi, ai, r)`` — flat grid-point indices (``box.points()``
-    order), atom indices and distances — *atom-major*: atom indices
-    ascend. ``np.bincount(pi, weights)`` therefore adds each point's
-    terms in ascending atom order, exactly as it does over the dense
-    sweep's point-major pairs.
+    Each atom only visits the grid indices of its cutoff sphere: per
+    lattice row ``(ix, iy)`` of its sub-cube, the ``iz`` span the sphere
+    can reach, padded by one index on each side, so rounding in the span
+    never drops a pair. The ``r2 <= cutoff**2`` test on the candidates
+    is the same ``einsum`` over ``(point - atom)`` differences the dense
+    ``(P x N x 3)`` sweep evaluates, so the pair set and every distance
+    are bit-identical to it.
+
+    Pairs come out *atom-major*: atom indices ascend within a block and
+    from block to block. Adding each pair's term into a point's sum in
+    stream order (``np.add.at`` per block, or one ``np.bincount`` over
+    the concatenation) therefore runs in ascending atom order, exactly
+    as over the dense sweep's point-major pairs.
     """
     coords = np.asarray(coords, dtype=np.float64).reshape(-1, 3)
     axes = box.axes()
@@ -68,9 +79,6 @@ def lattice_pairs(
     spacing = float(box.spacing)
     cut2 = float(cutoff) ** 2
     reach = cutoff / spacing
-    pi_parts: list[np.ndarray] = []
-    ai_parts: list[np.ndarray] = []
-    r_parts: list[np.ndarray] = []
     for start in range(0, coords.shape[0], ATOMS_PER_BLOCK):
         atoms = coords[start : start + ATOMS_PER_BLOCK]
         frac = (atoms - origin) / spacing
@@ -106,17 +114,23 @@ def lattice_pairs(
         if hit.size == 0:
             continue
         row = cand_row[hit]
-        pi_parts.append((ix[row] * shape[1] + iy[row]) * shape[2] + iz[hit])
-        ai_parts.append(row_atom[row] + start)
-        r_parts.append(np.sqrt(r2[hit]))
-    if not pi_parts:
+        yield (
+            (ix[row] * shape[1] + iy[row]) * shape[2] + iz[hit],
+            row_atom[row] + start,
+            np.sqrt(r2[hit]),
+        )
+
+
+def lattice_pairs(
+    box: "GridBox", coords: np.ndarray, cutoff: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All of :func:`lattice_blocks`' pairs as one ``(pi, ai, r)`` triple."""
+    blocks = list(lattice_blocks(box, coords, cutoff))
+    if not blocks:
         empty = np.empty(0, dtype=np.intp)
         return empty, empty.copy(), np.empty(0)
-    return (
-        np.concatenate(pi_parts),
-        np.concatenate(ai_parts),
-        np.concatenate(r_parts),
-    )
+    pi, ai, r = zip(*blocks)
+    return np.concatenate(pi), np.concatenate(ai), np.concatenate(r)
 
 
 def brute_force_query(

@@ -1,8 +1,11 @@
 """AutoDock Vina scoring function.
 
-Vina scores atom pairs directly (no precomputed receptor grid in our
-implementation — the receptor neighbor list is pre-pruned to the box
-instead). Terms operate on the *surface distance*
+Vina scores a pose either by the exact pairwise sum over the receptor
+neighborhood pre-pruned to the box, or by a trilinear gather from
+per-probe-class grids (:func:`build_vina_maps`, Vina's grid cache). The
+grid build streams the in-cutoff ``(grid point, receptor atom)`` pairs
+a few atoms at a time and is bit-identical to a dense
+``(points x atoms)`` sweep. Terms operate on the *surface distance*
 ``d = r - R_i - R_j`` where R are Vina atom radii:
 
 * gauss1:      exp(-(d / 0.5)^2)
@@ -27,7 +30,7 @@ from repro.chem.elements import AUTODOCK_TYPES
 from repro.chem.molecule import Molecule
 from repro.docking.autogrid import StackGather
 from repro.docking.box import GridBox
-from repro.docking.neighbors import bond_separation_pairs, lattice_pairs
+from repro.docking.neighbors import bond_separation_pairs, lattice_blocks
 
 #: Vina weights (Trott & Olson 2010, Table 1).
 W_GAUSS1 = -0.035579
@@ -237,9 +240,12 @@ def build_vina_maps(
 ) -> VinaMaps:
     """Build per-class Vina grids over ``box`` (amortized per receptor).
 
-    The build enumerates the in-cutoff pairs per atom chunk with
-    :func:`~repro.docking.neighbors.lattice_pairs` and evaluates the
-    exact Vina terms; its grids are bit-identical to a dense
+    The build streams the in-cutoff pairs a few atoms at a time with
+    :func:`~repro.docking.neighbors.lattice_blocks`, evaluates the exact
+    Vina terms on each block and adds them with ``np.add.at`` into
+    per-chunk accumulators, which are then added to the grids. The
+    per-point add order is that of one ``np.bincount`` per
+    ``chunk_atoms`` chunk, so the grids are bit-identical to a dense
     ``(points x atoms)`` sweep.
     """
     P = int(np.prod(box.shape))
@@ -258,25 +264,31 @@ def build_vina_maps(
         by_radius.setdefault(cls.radius, []).append(cls)
     for start in range(0, rec_coords.shape[0], chunk_atoms):
         stop = start + chunk_atoms
-        # Atom-major in-cutoff pairs: per-point sums in ascending atom
-        # order, as over the full points x atoms sweep.
-        pi, ci, rv = lattice_pairs(box, rec_coords[start:stop], CUTOFF)
-        if pi.size == 0:
-            continue
-        rad_c = rad[start:stop][ci]
-        hyd_c = hyd[start:stop][ci]
-        don_c = don[start:stop][ci]
-        acc_c = acc[start:stop][ci]
-        for radius, members in by_radius.items():
-            d = rv - radius - rad_c
-            base = base_terms(d)
-            for cls in members:
-                e = base
-                if cls.hydrophobic or cls.donor or cls.acceptor:
-                    hydro_pair = cls.hydrophobic & hyd_c
-                    hbond_pair = (cls.donor & acc_c) | (cls.acceptor & don_c)
-                    e = add_ramp_terms(base, d, hydro_pair, hbond_pair)
-                grids[cls] += np.bincount(pi, weights=e, minlength=P)
+        # Per-chunk sums, added to in stream (ascending atom) order and
+        # then to the grids: the association of the dense oracle's one
+        # bincount per chunk.
+        chunk_grids = {cls: np.zeros(P) for cls in classes}
+        # In-cutoff (point, atom) pairs only, one cache-sized block at a
+        # time, every term evaluated on the block.
+        for pi, ci, rv in lattice_blocks(box, rec_coords[start:stop], CUTOFF):
+            rad_c = rad[start:stop][ci]
+            hyd_c = hyd[start:stop][ci]
+            don_c = don[start:stop][ci]
+            acc_c = acc[start:stop][ci]
+            for radius, members in by_radius.items():
+                d = rv - radius - rad_c
+                base = base_terms(d)
+                for cls in members:
+                    e = base
+                    if cls.hydrophobic or cls.donor or cls.acceptor:
+                        hydro_pair = cls.hydrophobic & hyd_c
+                        hbond_pair = (cls.donor & acc_c) | (cls.acceptor & don_c)
+                        e = add_ramp_terms(base, d, hydro_pair, hbond_pair)
+                    np.add.at(chunk_grids[cls], pi, e)
+        # A chunk without pairs adds +0.0, which changes no sum that
+        # started at +0.0.
+        for cls, grid in grids.items():
+            grid += chunk_grids[cls]
     shape = box.shape
     return VinaMaps(
         box=box,

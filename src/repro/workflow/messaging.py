@@ -200,6 +200,11 @@ class FrameConn:
     Compression is off until :meth:`enable_compression` — the HELLO
     capability handshake decides per peer. Receiving compressed frames
     always works regardless (the flags byte is authoritative).
+
+    On a TCP socket (a :func:`connect` or a director's accepted one),
+    Nagle's algorithm is switched off: every frame is one complete
+    message, so holding a small one back for the peer's delayed ACK
+    only adds latency. Other sockets (``socketpair``) are left as given.
     """
 
     def __init__(
@@ -208,6 +213,11 @@ class FrameConn:
         *,
         max_frame_bytes: int = MAX_FRAME_BYTES,
     ) -> None:
+        if sock.type == socket.SOCK_STREAM and sock.family in (
+            socket.AF_INET,
+            socket.AF_INET6,
+        ):
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.sock = sock
         self.max_frame_bytes = max_frame_bytes
         self._send_lock = threading.Lock()

@@ -7,11 +7,18 @@ atom), ``find_rotatable_bonds`` with its own ``_in_ring`` search, and
 candidate root and rotatable bond). They are kept verbatim apart from
 ``self`` becoming an argument; the production versions must reproduce
 them exactly.
+
+``perceive_bonds`` is the distance-based bond perception as it was
+before the row-blocked rewrite: one dense ``(n, n, 3)`` difference
+tensor and its ``(n, n)`` distance, cutoff and mask matrices.
 """
 
 from __future__ import annotations
 
-from repro.chem.molecule import Molecule
+import numpy as np
+
+from repro.chem.elements import COVALENT_RADII
+from repro.chem.molecule import BOND_TOLERANCE, Molecule, _canonical_bond
 from repro.chem.torsions import TorsionTree, _is_amide
 
 
@@ -123,3 +130,36 @@ def _distal_set(self: TorsionTree, i: int, j: int, root: int) -> set[int]:
                 seen.add(w)
                 stack.append(w)
     return set(range(len(self.mol.atoms))) - seen
+
+
+def perceive_bonds(self: Molecule, tolerance: float = BOND_TOLERANCE) -> int:
+    """Distance-based bond perception (Open Babel style).
+
+    Two atoms are bonded when their distance is below the sum of
+    covalent radii plus ``tolerance``. Existing bonds are kept; the
+    number of *new* bonds is returned. The pairwise distance test is
+    vectorized; for receptors with thousands of atoms a per-pair
+    Python loop would dominate the preparation activities.
+    """
+    n = len(self.atoms)
+    if n < 2:
+        return 0
+    coords = self.coords
+    radii = np.array(
+        [COVALENT_RADII[a.element] for a in self.atoms], dtype=np.float64
+    )
+    # Pairwise squared distances via broadcasting.
+    diff = coords[:, None, :] - coords[None, :, :]
+    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    cutoff = (radii[:, None] + radii[None, :] + tolerance) ** 2
+    mask = (d2 < cutoff) & (d2 > 0.16)  # >0.4 A: reject overlapping atoms
+    ii, jj = np.nonzero(np.triu(mask, k=1))
+    added = 0
+    existing = {(b.i, b.j) for b in self.bonds}
+    for i, j in zip(ii.tolist(), jj.tolist()):
+        if (i, j) not in existing:
+            self.bonds.append(_canonical_bond(i, j))
+            added += 1
+    if added:
+        self._adjacency = None
+    return added

@@ -7,6 +7,9 @@ kept in :mod:`.prep_oracle` exactly: the same keys, rotatable bonds,
 charges (``np.array_equal``), PDBQT text — and so the same
 content-addressed map-cache keys, which hash the receptor PDBQT — and the
 same root and branches (order and ``moved`` atoms).
+
+Row-blocked bond perception must find the oracle's bonds in the
+oracle's order.
 """
 
 import numpy as np
@@ -15,7 +18,7 @@ import pytest
 from repro.chem import charges, torsions
 from repro.chem.atom import Atom
 from repro.chem.generate import generate_ligand, generate_receptor
-from repro.chem.molecule import Molecule
+from repro.chem.molecule import BOND_ROWS_PER_BLOCK, Molecule
 from repro.chem.torsions import TorsionTree, find_rotatable_bonds
 from repro.core.datasets import CP_LIGANDS
 from repro.docking.prepare import prepare_ligand, prepare_receptor
@@ -131,6 +134,54 @@ class TestReceptorPrep:
     def test_mercury_receptor_is_covered(self):
         elements = {a.element for a in generate_receptor("2ACT").atoms}
         assert "HG" in elements
+
+
+def _perceive(mol: Molecule, perceive, keep_bonds: int = 0):
+    """Run ``perceive`` on a copy keeping the first ``keep_bonds`` bonds."""
+    work = Molecule(mol.name, (a.copy() for a in mol.atoms), mol.bonds[:keep_bonds])
+    added = perceive(work)
+    return added, [(b.i, b.j, b.order, b.aromatic) for b in work.bonds]
+
+
+class TestBondPerception:
+    @pytest.mark.parametrize("pdb_id", ("1CSB",) + RECEPTORS)
+    def test_receptor_bonds_identical(self, pdb_id):
+        mol = generate_receptor(pdb_id)
+        assert not mol.bonds
+        new = _perceive(mol, Molecule.perceive_bonds)
+        assert new == _perceive(mol, oracle.perceive_bonds)
+        # Longer than one row block, so the block seams are crossed.
+        assert len(mol.atoms) > 2 * BOND_ROWS_PER_BLOCK and new[0] > len(mol.atoms) / 2
+
+    @pytest.mark.parametrize("lig_id", CP_LIGANDS)
+    def test_ligand_bonds_identical(self, lig_id):
+        mol = generate_ligand(lig_id)
+        new = _perceive(mol, Molecule.perceive_bonds)
+        assert new == _perceive(mol, oracle.perceive_bonds)
+        assert new[0] > 0
+
+    def test_existing_bonds_kept(self):
+        mol = generate_ligand(CP_LIGANDS[0])
+        new = _perceive(mol, Molecule.perceive_bonds, keep_bonds=5)
+        assert new == _perceive(mol, oracle.perceive_bonds, keep_bonds=5)
+        assert new[1][:5] == [(b.i, b.j, b.order, b.aromatic) for b in mol.bonds[:5]]
+
+    @pytest.mark.parametrize(
+        "n_atoms", [1, 2, BOND_ROWS_PER_BLOCK, BOND_ROWS_PER_BLOCK + 1, 150]
+    )
+    def test_random_clouds(self, n_atoms):
+        """Overlapping atoms, block seams and dense clusters."""
+        rng = np.random.default_rng(n_atoms)
+        mol = Molecule(name="CLOUD")
+        elements = rng.choice(["C", "N", "O", "H", "S", "HG"], size=n_atoms)
+        coords = rng.uniform(0.0, 0.6 * n_atoms ** (1 / 3), (n_atoms, 3))
+        if n_atoms > 2:
+            coords[1] = coords[0] + 0.2  # closer than 0.4 A: no bond
+        for k, (el, xyz) in enumerate(zip(elements, coords), start=1):
+            mol.add_atom(Atom(k, f"{el}{k}", str(el), xyz))
+        assert _perceive(mol, Molecule.perceive_bonds) == _perceive(
+            mol, oracle.perceive_bonds
+        )
 
 
 class TestTreeEdgeCases:

@@ -553,6 +553,27 @@ class TestBatchedGoldenParity:
             assert "frames_compressed_sent" in stats
 
 
+class TestNoDelayOnDirectorSockets:
+    def test_worker_and_director_sides_set_tcp_nodelay(self, tmp_path):
+        director = Director(cache_dir=str(tmp_path / "director-cache"))
+        node = messaging.connect(director.address, timeout=5.0)
+        try:
+            node.send(
+                MessageTag.HELLO,
+                {"node_id": "nd-node", "slots": 1, "wire": messaging.WIRE_VERSION},
+            )
+            deadline = time.monotonic() + 5.0
+            while not director._nodes and time.monotonic() < deadline:
+                time.sleep(0.01)
+            [session] = director._nodes.values()
+            for conn in (node, session.conn):
+                opt = conn.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+                assert opt != 0
+        finally:
+            node.close()
+            director.shutdown()
+
+
 class TestRawBundleExchange:
     """Map bundles ship raw on ARTIFACT_DATA frames, even to a node that
     negotiated zlib at HELLO: deflating an ``.npz`` of float64 maps buys

@@ -57,6 +57,47 @@ class TestFrameConn:
             right.close()
 
 
+class TestNoDelay:
+    """TCP frame connections send without Nagle's delay."""
+
+    def test_connect_and_accepted_side_set_tcp_nodelay(self):
+        import socket
+
+        from repro.workflow.messaging import FrameConn, connect
+
+        listener = socket.create_server(("127.0.0.1", 0))
+        try:
+            client = connect(listener.getsockname(), timeout=5.0)
+            server = FrameConn(listener.accept()[0])
+        finally:
+            listener.close()
+        try:
+            for conn in (client, server):
+                opt = conn.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+                assert opt != 0
+            client.send(MessageTag.WORK_REQUEST, {"credits": 2})
+            got = server.recv()
+            assert got is not None and got.payload == {"credits": 2}
+        finally:
+            client.close()
+            server.close()
+
+    def test_socketpair_left_as_given(self):
+        import socket
+
+        from repro.workflow.messaging import FrameConn
+
+        a, b = socket.socketpair()
+        left, right = FrameConn(a), FrameConn(b)
+        try:
+            assert a.family != socket.AF_INET
+            left.send(MessageTag.SHUTDOWN)
+            assert right.recv().tag is MessageTag.SHUTDOWN
+        finally:
+            left.close()
+            right.close()
+
+
 class TestFrameHardening:
     """A corrupt or hostile peer must raise, never allocate blindly."""
 
