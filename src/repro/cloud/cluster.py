@@ -53,11 +53,12 @@ class VirtualCluster:
         return plan
 
     # -- elasticity -------------------------------------------------------
-    def scale_to(self, target_cores: int) -> None:
+    def scale_to(self, target_cores: int, keep=frozenset()) -> None:
         """Acquire/release VMs so active cores meet the target.
 
         Scale-down terminates the newest VMs first (they have the least
-        billed-hour sunk cost under hourly rounding).
+        billed-hour sunk cost under hourly rounding), skipping the VM ids
+        in ``keep`` (busy ones).
         """
         current = self.total_cores
         if target_cores == current:
@@ -74,7 +75,8 @@ class VirtualCluster:
             ):
                 if self.total_cores - vm.cores < target_cores:
                     break
-                self.provider.terminate(vm.vm_id)
+                if vm.vm_id not in keep:
+                    self.provider.terminate(vm.vm_id)
 
     def terminate_all(self) -> None:
         for vm in self.active_vms:

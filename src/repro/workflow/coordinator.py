@@ -12,14 +12,17 @@ settlement of completions back into the dataflow — while an
 A plane is deliberately small: report capacity, accept a dispatched
 item, hand back completions, and say where an item would land. The
 in-process thread/process backends implement it
-(:class:`~repro.workflow.planes.LocalExecutionPlane`), and so does the
+(:class:`~repro.workflow.planes.LocalExecutionPlane`), so does the
 socket-transport director/worker backend
-(:class:`~repro.workflow.distributed.DirectorPlane`) — the coordinator
-cannot tell them apart, which is the point: fault machinery (watchdog
-deadlines, infra budgets, quarantine) and journal semantics (terminal
-flush barriers, dispatch placement records) behave identically whether
-an activation dies on a local worker process or on a node across the
-network.
+(:class:`~repro.workflow.distributed.DirectorPlane`), and so does the
+discrete-event simulator (:class:`~repro.workflow.planes.SimulatedPlane`)
+— the coordinator cannot tell them apart, which is the point: fault
+machinery (watchdog deadlines, infra budgets, quarantine) and journal
+semantics (terminal flush barriers, dispatch placement records) behave
+identically whether an activation dies on a local worker process, on a
+node across the network, or on a simulated VM core. Time comes only from
+the injected ``clock`` (``time.perf_counter``, or the simulator's
+:class:`~repro.cloud.simclock.SimClock`).
 """
 
 from __future__ import annotations
@@ -94,6 +97,10 @@ class ExecutionPlane(ABC):
     supports_speculation: bool = False
     #: Whether :meth:`resize` actually moves live capacity (elasticity).
     elastic: bool = False
+    #: Whether a known looper (Hg routine off) runs here until its
+    #: watchdog deadline instead of being aborted at decision time —
+    #: affordable only in virtual time, where that cost is measured.
+    spends_looper_deadline: bool = False
 
     @abstractmethod
     def capacity(self) -> int:
@@ -122,6 +129,10 @@ class ExecutionPlane(ABC):
     @abstractmethod
     def next_completion(self, timeout: float | None = None) -> Completion | None:
         """Block for the next completion; ``None`` on timeout."""
+
+    def start_round(self, n_ready: int) -> None:
+        """A dispatch round begins with ``n_ready`` items queued (where a
+        simulated plane charges the scheduler's planning overhead)."""
 
     def placement(self, item: WorkItem) -> str | None:
         """Where ``item`` would land (node id), if the plane knows."""
@@ -182,6 +193,7 @@ class Coordinator:
         actids: dict[str, int],
         watchdog: Watchdog,
         t0: float,
+        clock=time.perf_counter,
         steering=None,
         cost_service=None,
         elasticity=None,
@@ -197,6 +209,7 @@ class Coordinator:
         self.actids = actids
         self.watchdog = watchdog
         self.t0 = t0
+        self.clock = clock
         self.steering = steering
         self.service = cost_service
         self.elasticity = elasticity
@@ -238,7 +251,7 @@ class Coordinator:
 
     def _maybe_speculate(self) -> None:
         """Duplicate attempts running past their learned tail quantile."""
-        now = time.perf_counter()
+        now = self.clock()
         active = self.plane.capacity()
         for flight in list(self._flights.values()):
             if self._inflight >= active:
@@ -292,7 +305,7 @@ class Coordinator:
                 activity.tag, item.key
             ):
                 self.store.record_blocked(
-                    actid, item.key, time.perf_counter() - self.t0,
+                    actid, item.key, self.clock() - self.t0,
                     "aborted by user steering",
                 )
                 self.journal.steered(item.stage, item.key, "abort")
@@ -302,10 +315,13 @@ class Coordinator:
                 totals.blocked += 1
                 self._enqueue(self.state.retire(item))
                 return False
-            if activity.would_loop(item.tup):
+            if activity.would_loop(item.tup) and (
+                self.block_known_loopers
+                or not self.plane.spends_looper_deadline
+            ):
                 if self.block_known_loopers:
                     self.store.record_blocked(
-                        actid, item.key, time.perf_counter() - self.t0,
+                        actid, item.key, self.clock() - self.t0,
                         "known looping input (Hg routine)",
                     )
                     self.journal.blocked(
@@ -321,7 +337,7 @@ class Coordinator:
                     # + deadline`` would skew per-activity duration
                     # queries; the deadline it *would* have received is
                     # kept in errormsg.
-                    start = time.perf_counter() - self.t0
+                    start = self.clock() - self.t0
                     tid = self.store.begin_activation(
                         actid, item.key, start,
                         workdir=self.state_workdir(),
@@ -330,7 +346,7 @@ class Coordinator:
                         activity.cost(item.tup)
                     )
                     self.store.end_activation(
-                        tid, time.perf_counter() - self.t0,
+                        tid, self.clock() - self.t0,
                         ActivationStatus.ABORTED, 137,
                         "looping state killed by watchdog "
                         f"(deadline {deadline:.3f}s)",
@@ -350,7 +366,7 @@ class Coordinator:
             item=item,
             activity=activity,
             actid=actid,
-            wall_start=time.perf_counter(),
+            wall_start=self.clock(),
             primary_handle=handle,
         )
         self._inflight += 1
@@ -450,6 +466,8 @@ class Coordinator:
             if self.elasticity is not None and self.plane.elastic:
                 self._apply_elasticity(hard_max)
             # Fill free plane slots from the ready queue.
+            if self.ready and self._inflight < self.plane.capacity():
+                self.plane.start_round(len(self.ready))
             while self.ready and self._inflight < self.plane.capacity():
                 self._dispatch_one(self.ready.pop(), spec_enabled)
             if self._inflight == 0:

@@ -14,9 +14,9 @@ owns that dataflow:
   an escape hatch and as the baseline for the pipelining benchmark).
 * :class:`ReadyQueue` — a priority queue of dispatchable work items
   driven by the :class:`~repro.workflow.scheduler.Scheduler` interface
-  (``None`` = FIFO arrival order). Both engines pop from it, so a
-  scheduling policy reorders *real* dispatch, not just simulated
-  dispatch.
+  (``None`` = FIFO arrival order). The coordinator pops from it on
+  every plane, so a scheduling policy reorders *real* dispatch, not
+  just simulated dispatch.
 * :func:`lineage_key` — stable tuple identity under pipelining. Keys
   keep their semantic forms (an explicit ``key`` field, the SciDock
   ``ligand_receptor`` convention) when available; the positional
@@ -32,8 +32,9 @@ output tuple back through its full activation chain even though stages
 no longer run in lockstep.
 
 The state object is *not* thread-safe: engines must call ``seed`` /
-``complete`` / ``retire`` from a single coordinator thread (the
-LocalEngine event loop) or a single-threaded simulation loop.
+``complete`` / ``retire`` from the single coordinator thread
+(:class:`~repro.workflow.coordinator.Coordinator`), which both engines
+run.
 """
 
 from __future__ import annotations
@@ -83,12 +84,6 @@ class WorkItem:
     tup: dict
     key: str
     parent_key: str | None = None
-    #: Activation-failure attempt counter (engines mutate on retry).
-    attempt: int = 0
-    #: Earliest dispatch time (simulated-engine retry backoff).
-    ready_at: float = 0.0
-    #: Provenance taskid while running (simulated engine bookkeeping).
-    tid: int | None = None
 
 
 class ReadyQueue:

@@ -76,6 +76,23 @@ def strip_reserved(tup: dict) -> tuple[dict, list, str | None]:
     return tup, files, payload
 
 
+def collect_outputs(
+    store: ProvenanceStore, activity: Activity, raw: list[dict], tid: int
+) -> list[dict]:
+    """Strip reserved fields; record file/extract provenance on ``tid``."""
+    outs = []
+    for out in raw:
+        clean, files, payload = strip_reserved(dict(out))
+        for fname, fsize, fdir in files:
+            store.record_file(tid, fname, int(fsize), fdir)
+        if payload is not None and activity.extractors:
+            store.record_extracts(
+                tid, run_extractors(activity.extractors, payload)
+            )
+        outs.append(clean)
+    return outs
+
+
 class AttemptSuperseded(RuntimeError):
     """The twin attempt won the race; this attempt was cancelled."""
 
@@ -311,22 +328,6 @@ class AttemptRunner:
                 pass
             raise WatchdogTimeout(deadline, f"worker {outcome}") from None
 
-    def _collect_outputs(
-        self, activity: Activity, raw: list[dict], tid: int
-    ) -> list[dict]:
-        """Strip reserved fields; record file/extract provenance."""
-        outs = []
-        for out in raw:
-            clean, files, payload = strip_reserved(dict(out))
-            for fname, fsize, fdir in files:
-                self.store.record_file(tid, fname, int(fsize), fdir)
-            if payload is not None and activity.extractors:
-                self.store.record_extracts(
-                    tid, run_extractors(activity.extractors, payload)
-                )
-            outs.append(clean)
-        return outs
-
     def run_with_retry(
         self,
         activity: Activity,
@@ -434,7 +435,7 @@ class AttemptRunner:
                     outcome.retried += 1
                     continue
                 return [], outcome
-            outs = self._collect_outputs(activity, raw, tid)
+            outs = collect_outputs(self.store, activity, raw, tid)
             now = time.perf_counter() - t0
             self.store.end_activation(tid, now)
             outcome.succeeded = True
@@ -507,7 +508,7 @@ class AttemptRunner:
                 f"{type(exc).__name__}: {exc}",
             )
             return [], outcome
-        outs = self._collect_outputs(activity, raw, tid)
+        outs = collect_outputs(self.store, activity, raw, tid)
         now = time.perf_counter() - t0
         self.store.end_activation(tid, now)
         outcome.succeeded = True

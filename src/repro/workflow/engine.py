@@ -1,26 +1,30 @@
-"""Execution engines: real (thread pool) and simulated (discrete event).
+"""Execution engines: real (executor backends) and simulated (virtual time).
 
-Both engines run the same :class:`~repro.workflow.activity.Workflow`
-against an input :class:`~repro.workflow.relation.Relation` through the
-shared dataflow dispatch core (:mod:`repro.workflow.dataflow`): an
-event-driven ready queue over the activation DAG, where every
-MAP/FILTER/SPLIT_MAP output tuple immediately spawns its downstream
-activation and barriers exist only at REDUCE (or at every stage with
-``pipeline=False``, the historical activity-by-activity mode). Both
-record full PROV-Wf provenance — including activation-dependency edges
-for lineage queries — re-execute failed activations, and handle
-looping-state activations (dispatch-time blocking when the Hg routine
-is enabled, watchdog aborts otherwise).
+Both engines are composition roots over one run loop, the
+:class:`~repro.workflow.coordinator.Coordinator`: they open the run
+(provenance workflow row, run journal, the shared dataflow core of
+:mod:`repro.workflow.dataflow` and the scheduler-ordered ready queue),
+build an :class:`~repro.workflow.coordinator.ExecutionPlane` and hand
+both to the coordinator. Dispatch checks (steering aborts, looping
+predicates), settlement, retries accounting, elasticity decisions and
+journal emission are therefore the same code whether activations run
+for real or on simulated cores. Both record full PROV-Wf provenance —
+including activation-dependency edges for lineage queries — re-execute
+failed activations, and handle looping-state activations
+(dispatch-time blocking when the Hg routine is enabled, watchdog aborts
+otherwise).
 
 * :class:`LocalEngine` actually executes the activation callables on a
   pluggable executor backend — used for the biology-side results
   (Table 3) and the provenance queries (Figs 10-12). The per-activation
-  watchdog/retry machinery lives in :mod:`repro.workflow.dispatch`.
-* :class:`SimulatedEngine` replaces execution with a calibrated service
-  -time model and schedules activations onto simulated VM cores through
-  a pluggable :class:`~repro.workflow.scheduler.Scheduler` — used for
-  the 2..128-core sweeps (Figs 5-9), which would take CPU-days to run
-  for real.
+  watchdog/retry machinery lives in :mod:`repro.workflow.dispatch`; the
+  coordinator reads ``time.perf_counter``.
+* :class:`SimulatedEngine` runs the coordinator over a
+  :class:`~repro.workflow.planes.SimulatedPlane`: a calibrated
+  service-time model on simulated VM cores, with the coordinator reading
+  the cluster's :class:`~repro.cloud.simclock.SimClock` — used for the
+  2..128-core sweeps (Figs 5-9), which would take CPU-days to run for
+  real.
 
 Scheduling vs placement: a :class:`~repro.workflow.scheduler.Scheduler`
 orders *dispatch* (which ready activation runs next) in both engines;
@@ -36,33 +40,27 @@ engine strips both before the tuple continues downstream.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import multiprocessing
+import sys
 import time
 import uuid
 from dataclasses import dataclass, field
+from typing import Callable
 
-from repro.cloud.cluster import CoreHandle, VirtualCluster
+from repro.cloud.cluster import VirtualCluster
 from repro.cloud.failures import ActivityFailureModel
-from repro.cloud.provider import VMState
-from repro.provenance.store import ActivationStatus, ProvenanceStore
-from repro.workflow.activity import Operator, Workflow
+from repro.provenance.store import ProvenanceStore
+from repro.workflow.activity import Workflow
 from repro.workflow.affinity import AffinityRouter
 from repro.workflow.artifacts import (
     ArtifactPlane,
     DiskMapCache,
     release_cached,
 )
-from repro.workflow.coordinator import Coordinator
+from repro.workflow.coordinator import Coordinator, CoordinatorTotals
 from repro.workflow.dataflow import DataflowState, ReadyQueue, WorkItem
-from repro.workflow.dispatch import (
-    AttemptRunner,
-    PARENT_ONLY_CONTEXT_KEYS,
-    strip_reserved,
-)
+from repro.workflow.dispatch import AttemptRunner, PARENT_ONLY_CONTEXT_KEYS
 from repro.workflow.distributed import Director, DirectorPlane
-from repro.workflow.extractor import run_extractors
 from repro.workflow.fault import (
     CancelTokenHandle,
     FaultInjector,
@@ -71,7 +69,7 @@ from repro.workflow.fault import (
     Watchdog,
 )
 from repro.workflow.journal import JournalReplay, RunJournal, replay_journal
-from repro.workflow.planes import LocalExecutionPlane
+from repro.workflow.planes import LocalExecutionPlane, SimulatedPlane
 from repro.workflow.relation import Relation
 from repro.workflow.scheduler import GreedyCostScheduler, Scheduler
 
@@ -96,7 +94,8 @@ class ExecutionReport:
     cost_usd: float = 0.0
     #: Peak concurrency actually observed: the maximum number of
     #: simultaneously in-flight activations (LocalEngine) or the peak
-    #: usable core count after elasticity and ``core_limit`` clamping
+    #: cluster core count (booting VMs included) after elasticity and
+    #: ``core_limit`` clamping, as the :class:`SimulatedPlane` reports it
     #: (SimulatedEngine) — not the configured worker count.
     peak_cores: int = 0
     bytes_written: float = 0.0
@@ -155,19 +154,165 @@ class ExecutionReport:
 #: Executor backends LocalEngine can run activations on.
 BACKENDS = ("threads", "processes", "distributed")
 
+@dataclass
+class _Run:
+    """One run as both engines open it, before a plane is attached."""
 
-class LocalEngine:
+    workflow: Workflow
+    wkfid: int
+    actids: dict[str, int]
+    journal: RunJournal
+    state: DataflowState
+    ready: ReadyQueue
+    #: Time source; every timestamp is ``clock() - t0``.
+    clock: Callable[[], float]
+    t0: float
+
+
+class _Engine:
+    """The run plumbing both engines share around one Coordinator.
+
+    Subclasses set ``store``, ``scheduler``, ``watchdog``,
+    ``elasticity``, ``block_known_loopers``, ``pipeline`` and
+    ``cost_service``.
+    """
+
+    def _open_run(
+        self,
+        workflow: Workflow,
+        relation: Relation,
+        context: dict,
+        clock: Callable[[], float],
+        resumed_from: int | None = None,
+    ) -> _Run:
+        """Workflow row, activities, run journal, dataflow, ready queue.
+
+        The journal logs every coordinator state transition; terminal
+        events flush synchronously, so a SIGKILL'd coordinator resumes
+        with zero recomputation of FINISHED tuples. Its run-started
+        header snapshots the picklable context before engine-internal
+        entries are popped, so a resume re-runs under the same
+        grid/engine-parameter/fault-injection configuration.
+        """
+        t0 = clock()
+        store = self.store
+        wkfid = store.begin_workflow(
+            workflow.tag,
+            workflow.description,
+            workflow.exectag,
+            workflow.expdir,
+            starttime=0.0,
+        )
+        actids = {
+            a.tag: store.register_activity(
+                wkfid,
+                a.tag,
+                a.description,
+                a.template.templatedir if a.template else "",
+                a.template.command if a.template else "",
+                a.operator.value,
+            )
+            for a in workflow.activities
+        }
+        context["wkfid"] = wkfid
+        journal = RunJournal(store, wkfid, clock=lambda: clock() - t0)
+        journal.run_started(
+            workflow.tag,
+            pipeline=self.pipeline,
+            context=context,
+            relation_size=len(relation),
+            resumed_from=resumed_from,
+        )
+        state = DataflowState(
+            workflow,
+            pipeline=self.pipeline,
+            store=store,
+            wkfid=wkfid,
+            actids=actids,
+            journal=journal,
+        )
+        service = self.cost_service
+
+        def expected_cost(item: WorkItem) -> float:
+            """Learned service-time estimate, static table as fallback."""
+            activity = workflow.activities[item.stage]
+            if service is not None:
+                est = service.expected_seconds(activity.tag, item.tup)
+                if est is not None:
+                    return est
+            return activity.cost(item.tup)
+
+        ready = ReadyQueue(self.scheduler, cost_fn=expected_cost)
+        return _Run(workflow, wkfid, actids, journal, state, ready, clock, t0)
+
+    def _drive(
+        self,
+        run: _Run,
+        plane,
+        relation: Relation,
+        context: dict,
+        *,
+        hard_max: int,
+        replay: JournalReplay | None = None,
+    ) -> CoordinatorTotals:
+        """Run the shared loop over ``plane`` to completion."""
+        return Coordinator(
+            run.workflow,
+            run.state,
+            run.ready,
+            plane,
+            store=self.store,
+            journal=run.journal,
+            actids=run.actids,
+            watchdog=self.watchdog,
+            t0=run.t0,
+            clock=run.clock,
+            steering=context.get("steering"),
+            cost_service=self.cost_service,
+            elasticity=self.elasticity,
+            block_known_loopers=self.block_known_loopers,
+            replay=replay,
+        ).run(relation, hard_max=hard_max)
+
+    def _report(
+        self,
+        run: _Run,
+        totals: CoordinatorTotals,
+        run_stats: dict | None = None,
+        **fields,
+    ) -> ExecutionReport:
+        """Close the run's journal and workflow row; build the report."""
+        tet = run.clock() - run.t0
+        run.journal.run_finished(ts=tet, stats=run_stats)
+        self.store.end_workflow(run.wkfid, tet)
+        return ExecutionReport(
+            wkfid=run.wkfid,
+            workflow_tag=run.workflow.tag,
+            tet_seconds=tet,
+            output=Relation(f"{run.workflow.tag}:output", run.state.final),
+            counts=self.store.counts_by_status(run.wkfid),
+            total_activations=run.state.spawned,
+            retried=totals.retried,
+            blocked=totals.blocked,
+            aborted=totals.aborted,
+            timeouts=totals.timeouts,
+            infra_retries=totals.infra_retries,
+            speculative_launched=totals.speculative_launched,
+            speculative_won=totals.speculative_won,
+            pool_resizes=totals.pool_resizes,
+            replayed=totals.replayed,
+            cost_samples=getattr(self.cost_service, "samples", 0),
+            **fields,
+        )
+
+
+class LocalEngine(_Engine):
     """Real execution on a pluggable executor backend.
 
-    The run loop is an event-driven dataflow coordinator: work items pop
-    off a scheduler-ordered :class:`~repro.workflow.dataflow.ReadyQueue`
-    and are submitted to bookkeeping threads the moment a worker slot is
-    free; each completion immediately spawns the tuple's downstream
-    activation (no cohort barrier except at REDUCE). ``pipeline=False``
-    restores the historical activity-by-activity barriers for A/B runs.
-    Steering aborts and looping-predicate checks happen at *dispatch*
-    time, so a rule installed mid-run stops tuples that were already
-    enumerated but not yet dispatched.
+    Runs the shared coordinator loop over a local or distributed
+    execution plane, submitting work the moment a slot is free;
+    ``pipeline=False`` restores the historical activity-by-activity
+    barriers for A/B runs.
 
     ``backend="threads"`` (default) runs activation callables on a
     thread pool — fine for activations that release the GIL or are
@@ -234,9 +379,6 @@ class LocalEngine:
     dispatch cap moves on the threads backend, and router slots are
     added/retired (the quarantine drain path) on processes.
     """
-
-    #: Completion-wait granularity while watching for stragglers.
-    _speculation_poll = 0.05
 
     def __init__(
         self,
@@ -320,45 +462,10 @@ class LocalEngine:
         _resumed_from: int | None = None,
     ) -> ExecutionReport:
         context = dict(context or {})
-        t0 = time.perf_counter()
-        wkfid = self.store.begin_workflow(
-            workflow.tag,
-            workflow.description,
-            workflow.exectag,
-            workflow.expdir,
-            starttime=0.0,
+        run = self._open_run(
+            workflow, relation, context, time.perf_counter, _resumed_from
         )
-        actids = {
-            a.tag: self.store.register_activity(
-                wkfid,
-                a.tag,
-                a.description,
-                a.template.templatedir if a.template else "",
-                a.template.command if a.template else "",
-                a.operator.value,
-            )
-            for a in workflow.activities
-        }
-        context["wkfid"] = wkfid
-        # Run journal: every coordinator state transition below appends
-        # an event; terminal events flush synchronously so a SIGKILL'd
-        # coordinator resumes from here with zero recomputation of
-        # FINISHED tuples (see repro.workflow.journal). The run-started
-        # header snapshots the picklable context before engine-internal
-        # entries are popped, so a resume re-runs under the same
-        # grid/engine-parameter/fault-injection configuration.
-        journal = RunJournal(
-            self.store, wkfid, clock=lambda: time.perf_counter() - t0
-        )
-        journal.run_started(
-            workflow.tag,
-            pipeline=self.pipeline,
-            context=context,
-            relation_size=len(relation),
-            resumed_from=_resumed_from,
-        )
-
-        final = Relation(f"{workflow.tag}:output")
+        t0, journal = run.t0, run.journal
 
         # Fault injection: chaos tests force crashes/hangs/failures via
         # this context entry; it ships to workers so faults fire where
@@ -433,26 +540,6 @@ class LocalEngine:
             cancel_handle=cancel_handle,
             journal=journal,
         )
-        state = DataflowState(
-            workflow,
-            pipeline=self.pipeline,
-            store=self.store,
-            wkfid=wkfid,
-            actids=actids,
-            journal=journal,
-        )
-        service = self.cost_service
-
-        def expected_cost(item: WorkItem) -> float:
-            """Learned service-time estimate, static table as fallback."""
-            activity = workflow.activities[item.stage]
-            if service is not None:
-                est = service.expected_seconds(activity.tag, item.tup)
-                if est is not None:
-                    return est
-            return activity.cost(item.tup)
-
-        ready = ReadyQueue(self.scheduler, cost_fn=expected_cost)
         #: Dispatch cap the elasticity policy moves; the plane's thread
         #: pool is sized to the ceiling so a grow needs no new pool.
         hard_max = self.workers
@@ -476,25 +563,12 @@ class LocalEngine:
                     plane.handle.scratch_dir if plane is not None else None
                 ),
             )
-        coordinator = Coordinator(
-            workflow,
-            state,
-            ready,
-            exec_plane,
-            store=self.store,
-            journal=journal,
-            actids=actids,
-            watchdog=self.watchdog,
-            t0=t0,
-            steering=context.get("steering"),
-            cost_service=service,
-            elasticity=self.elasticity,
-            block_known_loopers=self.block_known_loopers,
-            replay=_replay,
-        )
         plane_stats: dict = {}
         try:
-            totals = coordinator.run(relation, hard_max=hard_max)
+            totals = self._drive(
+                run, exec_plane, relation, context,
+                hard_max=hard_max, replay=_replay,
+            )
         finally:
             # The plane quiesces its bookkeeping threads, reports its
             # statistics (router steals/quarantine + the end-of-run
@@ -574,32 +648,14 @@ class LocalEngine:
                 "batches_sent": batches_sent,
                 "avg_batch_fill": avg_batch_fill,
             }
-        for tup in state.final:
-            final.append(tup)
-        tet = time.perf_counter() - t0
-        journal.run_finished(ts=tet, stats=run_stats)
-        self.store.end_workflow(wkfid, tet)
-        return ExecutionReport(
-            wkfid=wkfid,
-            workflow_tag=workflow.tag,
-            tet_seconds=tet,
-            output=final,
-            counts=self.store.counts_by_status(wkfid),
-            total_activations=state.spawned,
-            retried=totals.retried,
-            blocked=totals.blocked,
-            aborted=totals.aborted,
+        return self._report(
+            run,
+            totals,
+            run_stats,
             peak_cores=totals.peak_inflight,
             artifact_stats=artifact_stats,
             steals=steals,
-            timeouts=totals.timeouts,
-            infra_retries=totals.infra_retries,
             quarantined_workers=quarantined,
-            speculative_launched=totals.speculative_launched,
-            speculative_won=totals.speculative_won,
-            pool_resizes=totals.pool_resizes,
-            replayed=totals.replayed,
-            cost_samples=service.samples if service is not None else 0,
             nodes_joined=nodes_joined,
             nodes_lost=nodes_lost,
             tuples_per_node=tuples_per_node,
@@ -649,18 +705,15 @@ class LocalEngine:
         )
 
 
-class SimulatedEngine:
-    """Discrete-event execution over a simulated virtual cluster.
+class SimulatedEngine(_Engine):
+    """Virtual-time execution over a simulated virtual cluster.
 
-    Service time of an activation = ``activity.cost(tuple) / core.speed``.
-    Activation callables, when present, are executed *zero-cost* to
-    propagate routing/filter decisions (they must be lightweight in
-    simulation workflows). Failure injection, watchdog aborts, retries,
-    scheduler overhead and (optional) elasticity are all modeled.
-    Dataflow — per-tuple pipelining, REDUCE barriers, lineage keys and
-    dependency edges — comes from the same
-    :class:`~repro.workflow.dataflow.DataflowState` the LocalEngine
-    uses, so the simulator no longer re-implements dispatch semantics.
+    Drives the same coordinator as :class:`LocalEngine` over a
+    :class:`~repro.workflow.planes.SimulatedPlane`, on the cluster's
+    :class:`~repro.cloud.simclock.SimClock`. The plane models service
+    times, failures, retries, watchdog aborts and scheduler overhead;
+    activation callables (which must be lightweight) run zero-cost to
+    propagate routing/filter decisions.
     """
 
     def __init__(
@@ -702,27 +755,6 @@ class SimulatedEngine:
             raise EngineError("core_limit must be >= 1")
         self.core_limit = core_limit
 
-    def _release_idle_vms(
-        self, target_cores: int, busy_cores: set[tuple[str, int]]
-    ) -> None:
-        """Terminate idle VMs (newest first) down toward ``target_cores``."""
-        busy_vms = {vm_id for vm_id, _ in busy_cores}
-        for vm in sorted(
-            self.cluster.active_vms, key=lambda v: v.launch_time, reverse=True
-        ):
-            if self.cluster.total_cores - vm.cores < target_cores:
-                break
-            if vm.vm_id in busy_vms:
-                continue
-            self.cluster.provider.terminate(vm.vm_id)
-
-    def _usable_cores(self) -> int:
-        cores = self.cluster.total_cores
-        if self.core_limit is not None:
-            cores = min(cores, self.core_limit)
-        return cores
-
-    # -- core loop ----------------------------------------------------------
     def run(
         self,
         workflow: Workflow,
@@ -730,288 +762,21 @@ class SimulatedEngine:
         context: dict | None = None,
     ) -> ExecutionReport:
         context = dict(context or {})
-        clock = self.cluster.provider.clock
-        start_time = clock.now
-        wkfid = self.store.begin_workflow(
-            workflow.tag, workflow.description, workflow.exectag,
-            workflow.expdir, starttime=start_time,
+        sim_clock = self.cluster.provider.clock
+        run = self._open_run(
+            workflow, relation, context, lambda: sim_clock.now
         )
-        actids = {
-            a.tag: self.store.register_activity(
-                wkfid, a.tag, a.description, "", "", a.operator.value
-            )
-            for a in workflow.activities
-        }
-        context["wkfid"] = wkfid
-
-        now = start_time
-        seq = itertools.count()
-        # Same journal the real engine writes (simulated timestamps are
-        # passed explicitly where the loop knows them); a simulated run
-        # is replayable/resumable exactly like a real one.
-        journal = RunJournal(self.store, wkfid)
-        journal.run_started(
-            workflow.tag,
-            pipeline=self.pipeline,
-            context=context,
-            relation_size=len(relation),
+        plane = SimulatedPlane(
+            self.store, self.cluster, self.scheduler,
+            retry=self.retry, watchdog=self.watchdog,
+            failure_model=self.failure_model, journal=run.journal,
+            context=context, core_limit=self.core_limit,
+            data_model=self.data_model,
         )
-        state = DataflowState(
-            workflow,
-            pipeline=self.pipeline,
-            store=self.store,
-            wkfid=wkfid,
-            actids=actids,
-            journal=journal,
+        totals = self._drive(
+            run, plane, relation, context,
+            # A virtual cluster can always grow: no dispatch ceiling.
+            hard_max=sys.maxsize,
         )
-        #: Dispatchable work, ordered by scheduler priority.
-        ready = ReadyQueue(self.scheduler)
-        #: Items waiting on a retry delay, keyed by eligibility time.
-        waiting: list[tuple[float, int, WorkItem]] = []
-        #: (finish_time, seq, item, core, outcome) — outcome in
-        #: {"ok", "fail", "loop"}.
-        running: list[tuple[float, int, WorkItem, CoreHandle, str]] = []
-        busy_cores: set[tuple[str, int]] = set()
-        retired_counts = {"retried": 0, "blocked": 0, "aborted": 0}
-        bytes_written = 0.0
-        final = Relation(f"{workflow.tag}:output")
-        peak_cores = self._usable_cores()
-        steering = context.get("steering")
-
-        def cost_of(item: WorkItem) -> float:
-            return workflow.activities[item.stage].cost(item.tup)
-
-        def queue_cost(item: WorkItem) -> float:
-            """Learned estimate for ordering; static cost as fallback."""
-            if self.cost_service is not None:
-                est = self.cost_service.expected_seconds(
-                    workflow.activities[item.stage].tag, item.tup
-                )
-                if est is not None:
-                    return est
-            return cost_of(item)
-
-        ready.cost_fn = queue_cost
-
-        def enqueue(items, when: float) -> None:
-            for item in items:
-                if item.ready_at > when:
-                    heapq.heappush(waiting, (item.ready_at, next(seq), item))
-                else:
-                    ready.push(item)
-
-        enqueue(state.seed(relation), now)
-
-        while ready or waiting or running:
-            # Promote retry-delayed items that became eligible.
-            while waiting and waiting[0][0] <= now:
-                _, _, item = heapq.heappop(waiting)
-                ready.push(item)
-
-            # Elasticity: consult the policy before each scheduling round.
-            if self.elasticity is not None:
-                if ready:
-                    mean_cost = sum(cost_of(j) for j in ready.items()) / len(
-                        ready
-                    )
-                else:
-                    mean_cost = 0.0
-                cap = self._usable_cores()
-                utilization = len(busy_cores) / cap if cap else 0.0
-                target = self.elasticity.target_cores(
-                    len(ready), len(running), mean_cost,
-                    utilization=utilization,
-                )
-                if target > self.cluster.total_cores:
-                    clock.advance_to(max(clock.now, now))
-                    self.cluster.scale_to(target)
-                elif target < self.cluster.total_cores:
-                    # Release only *idle* VMs (no busy core), newest first
-                    # — the paper's scale-down as the tail drains.
-                    clock.advance_to(max(clock.now, now))
-                    self._release_idle_vms(target, busy_cores)
-            # Make provider boot events catch up to engine time.
-            clock.run(until=max(clock.now, now))
-            peak_cores = max(peak_cores, self._usable_cores())
-
-            usable = self.cluster.cores()
-            if self.core_limit is not None:
-                usable = usable[: self.core_limit]
-            free = [
-                h
-                for h in usable
-                if (h.vm_id, h.core_index) not in busy_cores
-                and self.cluster.provider.describe(h.vm_id).state == VMState.RUNNING
-            ]
-            if free and ready:
-                free.sort(key=self.scheduler.core_priority, reverse=True)
-                overhead = self.scheduler.overhead_seconds(
-                    len(ready), self._usable_cores()
-                )
-                start = now + overhead
-                core_idx = 0
-                while core_idx < len(free) and ready:
-                    item = ready.pop()
-                    activity = workflow.activities[item.stage]
-                    actid = actids[activity.tag]
-                    # Dispatch-time checks: a steering rule installed
-                    # mid-run stops queued-but-undispatched tuples too.
-                    if activity.operator is not Operator.REDUCE:
-                        if steering is not None and steering.should_abort(
-                            activity.tag, item.key
-                        ):
-                            self.store.record_blocked(
-                                actid, item.key, now, "aborted by user steering"
-                            )
-                            journal.steered(item.stage, item.key, "abort")
-                            journal.blocked(
-                                item.stage, item.key,
-                                "aborted by user steering", ts=now,
-                            )
-                            retired_counts["blocked"] += 1
-                            enqueue(state.retire(item), now)
-                            continue
-                        if (
-                            activity.would_loop(item.tup)
-                            and self.block_known_loopers
-                        ):
-                            self.store.record_blocked(
-                                actid, item.key, now,
-                                "known looping input (Hg routine)",
-                            )
-                            journal.blocked(
-                                item.stage, item.key,
-                                "known looping input (Hg routine)", ts=now,
-                            )
-                            retired_counts["blocked"] += 1
-                            enqueue(state.retire(item), now)
-                            continue
-                    core = free[core_idx]
-                    core_idx += 1
-                    cost = activity.cost(item.tup)
-                    loops = activity.would_loop(item.tup)
-                    fails = self.failure_model.fails(
-                        f"{activity.tag}:{item.key}", item.attempt
-                    )
-                    if loops:
-                        service = self.watchdog.deadline(cost)
-                        outcome = "loop"
-                    else:
-                        service = cost / core.speed
-                        outcome = "fail" if fails else "ok"
-                    journal.dispatched(item.stage, item.key)
-                    journal.attempt_started(
-                        item.key, activity.tag, item.attempt, ts=start
-                    )
-                    item.tid = self.store.begin_activation(
-                        actid,
-                        item.key,
-                        start,
-                        vm_id=core.vm_id,
-                        core_index=core.core_index,
-                        attempt=item.attempt,
-                    )
-                    busy_cores.add((core.vm_id, core.core_index))
-                    heapq.heappush(
-                        running, (start + service, next(seq), item, core, outcome)
-                    )
-                continue
-
-            if not running:
-                if ready:
-                    # Cores exist but are still booting: advance to next boot.
-                    if self.cluster.provider.clock.pending:
-                        self.cluster.provider.clock.step()
-                        now = max(now, self.cluster.provider.clock.now)
-                        continue
-                    raise EngineError(
-                        "deadlock: ready activations but no cores available"
-                    )
-                if waiting:
-                    # Items waiting on retry delay: jump to the earliest.
-                    now = waiting[0][0]
-                continue
-
-            finish, _, item, core, outcome = heapq.heappop(running)
-            now = max(now, finish)
-            busy_cores.discard((core.vm_id, core.core_index))
-            activity = workflow.activities[item.stage]
-            if outcome == "loop":
-                self.store.end_activation(
-                    item.tid, finish, ActivationStatus.ABORTED, 137,
-                    "looping state killed by watchdog",
-                )
-                journal.aborted(
-                    item.stage, item.key,
-                    "looping state killed by watchdog", ts=finish,
-                )
-                retired_counts["aborted"] += 1
-                enqueue(state.retire(item), now)
-            elif outcome == "fail":
-                self.store.end_activation(
-                    item.tid, finish, ActivationStatus.FAILED, 1,
-                    "injected failure",
-                )
-                if self.retry.should_retry(item.attempt):
-                    retired_counts["retried"] += 1
-                    # The item stays in flight (no dataflow transition):
-                    # only its attempt counter and eligibility change.
-                    item.attempt += 1
-                    item.ready_at = finish + self.retry.delay(
-                        item.attempt - 1, item.key
-                    )
-                    enqueue([item], now)
-                else:
-                    journal.failed(
-                        item.stage, item.key, "attempts exhausted", ts=finish
-                    )
-                    enqueue(state.retire(item), now)
-            else:
-                self.store.end_activation(item.tid, finish)
-                if self.cost_service is not None:
-                    self.cost_service.observe(
-                        activity.tag, item.tup, cost_of(item) / core.speed
-                    )
-                if self.data_model is not None:
-                    bytes_written += self.data_model(activity.tag, item.tup)
-                if activity.fn is not None:
-                    raw = activity.run(item.tup, context)
-                else:
-                    raw = [dict(item.tup)]
-                outputs = []
-                for out in raw:
-                    clean, files, payload = strip_reserved(dict(out))
-                    for fname, fsize, fdir in files:
-                        self.store.record_file(item.tid, fname, int(fsize), fdir)
-                    if payload is not None and activity.extractors:
-                        self.store.record_extracts(
-                            item.tid, run_extractors(activity.extractors, payload)
-                        )
-                    outputs.append(clean)
-                enqueue(state.complete(item, outputs), now)
-
-        for tup in state.final:
-            final.append(tup)
-        tet = now - start_time
-        journal.run_finished(ts=now)
-        self.store.end_workflow(wkfid, now)
-        return ExecutionReport(
-            wkfid=wkfid,
-            workflow_tag=workflow.tag,
-            tet_seconds=tet,
-            output=final,
-            counts=self.store.counts_by_status(wkfid),
-            total_activations=state.spawned,
-            retried=retired_counts["retried"],
-            blocked=retired_counts["blocked"],
-            aborted=retired_counts["aborted"],
-            timeouts=retired_counts["aborted"],
-            cost_usd=self.cluster.cost(),
-            peak_cores=peak_cores,
-            bytes_written=bytes_written,
-            cost_samples=(
-                self.cost_service.samples
-                if self.cost_service is not None
-                else 0
-            ),
-        )
+        # The plane reports cost_usd, bytes_written and peak_cores.
+        return self._report(run, totals, **plane.finish())

@@ -16,13 +16,26 @@ on a remote worker node behind the
 :class:`~repro.workflow.distributed.Director` (which subclasses this
 plane — the director implements the router duck-type, so the same
 bookkeeping threads drive remote attempts unchanged).
+
+The :class:`SimulatedPlane` is the discrete-event stand-in for all of
+them: single-threaded, it places each dispatched item on a simulated VM
+core and reports completions in virtual-time order, so the paper's
+2..128-core sweeps run through the same coordinator as a real campaign.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
+import math
 import queue
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
 
+from repro.cloud.cluster import CoreHandle, VirtualCluster
+from repro.cloud.provider import VMState
+from repro.provenance.store import ActivationStatus, ProvenanceStore
 from repro.workflow.activity import Activity
 from repro.workflow.affinity import AffinityRouter, RouterError
 from repro.workflow.artifacts import drop_run_state
@@ -32,7 +45,9 @@ from repro.workflow.dispatch import (
     AttemptAbortHandle,
     AttemptOutcome,
     AttemptRunner,
+    collect_outputs,
 )
+from repro.workflow.fault import RetryPolicy, Watchdog
 
 
 class ThreadedExecutionPlane(ExecutionPlane):
@@ -210,3 +225,205 @@ class LocalExecutionPlane(ThreadedExecutionPlane):
         if self.router is not None:
             self.router.shutdown()
             self.router = None
+
+
+@dataclass
+class _SimAttempt:
+    """One dispatched item's attempt chain on its simulated core."""
+
+    item: WorkItem
+    activity: Activity
+    actid: int
+    core: CoreHandle
+    attempt: int = 0
+    tid: int = 0
+    #: "ok", "fail" (injected failure) or "loop" (killed at the deadline).
+    fate: str = "ok"
+    #: Virtual seconds the current attempt holds its core.
+    service: float = 0.0
+    outcome: AttemptOutcome = field(default_factory=AttemptOutcome)
+
+
+class SimulatedPlane(ExecutionPlane):
+    """Discrete-event execution on a :class:`~repro.cloud.cluster.VirtualCluster`.
+
+    An attempt holds its core for ``activity.cost(tuple) / core.speed``
+    seconds of the cluster's :class:`~repro.cloud.simclock.SimClock`.
+    Each item takes the free RUNNING core (among the first
+    ``core_limit``) with the highest ``scheduler.core_priority`` and
+    starts after its dispatch round's planning overhead. Activation
+    callables, when present, run zero-cost at completion to propagate
+    routing/filter decisions. Like
+    :class:`~repro.workflow.dispatch.AttemptRunner`, a failed attempt
+    (``failure_model``: a hash of lineage key and attempt) retries on
+    its core after ``retry.delay`` while the item stays in flight, and
+    a looping input spends its watchdog deadline and times out.
+    """
+
+    elastic = True
+    spends_looper_deadline = True
+
+    def __init__(
+        self,
+        store: ProvenanceStore,
+        cluster: VirtualCluster,
+        scheduler,
+        *,
+        retry: RetryPolicy,
+        watchdog: Watchdog,
+        failure_model,
+        journal,
+        context: dict,
+        core_limit: int | None = None,
+        data_model=None,
+    ) -> None:
+        self.store = store
+        self.cluster = cluster
+        self.clock = cluster.provider.clock
+        self.t0 = self.clock.now
+        self.scheduler = scheduler
+        self.retry = retry
+        self.watchdog = watchdog
+        self.failure_model = failure_model
+        self.journal = journal
+        self.context = context
+        self.core_limit = core_limit
+        self.data_model = data_model
+        self._busy: set[CoreHandle] = set()
+        self._running: list[tuple[float, int, _SimAttempt]] = []
+        self._seq = itertools.count()
+        #: Cache of :meth:`_usable_cores`; a boot or resize clears it.
+        self._usable: list[CoreHandle] | None = None
+        self._round_start = self.t0
+        self._bytes: list[float] = []
+        self.peak_cores = self._planned_cores()
+
+    # -- capacity ------------------------------------------------------------
+    def _planned_cores(self) -> int:
+        """Cluster cores, booting ones included, the run may occupy."""
+        return min(self.cluster.total_cores, self.core_limit or sys.maxsize)
+
+    def _usable_cores(self) -> list[CoreHandle]:
+        """RUNNING cores among the first ``core_limit``.
+
+        Busy cores never leave this prefix: only idle VMs are released,
+        and new VMs join at the end of the core list.
+        """
+        if self._usable is None:
+            provider = self.cluster.provider
+            self._usable = [
+                h for h in self.cluster.cores()[: self.core_limit]
+                if provider.describe(h.vm_id).state == VMState.RUNNING
+            ]
+        return self._usable
+
+    def capacity(self) -> int:
+        return len(self._usable_cores())
+
+    def wait_for_capacity(self, timeout: float) -> bool:
+        while not self.capacity():
+            if not self.clock.step():  # the next VM boot
+                return False
+            self._usable = None
+        return True
+
+    def resize(self, target: int) -> bool:
+        before = self.cluster.total_cores
+        self.cluster.scale_to(target, keep={h.vm_id for h in self._busy})
+        self._usable = None
+        self.peak_cores = max(self.peak_cores, self._planned_cores())
+        return self.cluster.total_cores != before
+
+    # -- dispatch ------------------------------------------------------------
+    def start_round(self, n_ready: int) -> None:
+        self._round_start = self.clock.now + self.scheduler.overhead_seconds(
+            n_ready, self._planned_cores()
+        )
+
+    def submit(
+        self,
+        item: WorkItem,
+        activity: Activity,
+        actid: int,
+        handle: AttemptAbortHandle | None,
+    ) -> None:
+        core = max(
+            (h for h in self._usable_cores() if h not in self._busy),
+            key=self.scheduler.core_priority,
+        )
+        self._busy.add(core)
+        self._launch(_SimAttempt(item, activity, actid, core), self._round_start)
+
+    def _launch(self, run: _SimAttempt, start: float) -> None:
+        item, activity = run.item, run.activity
+        cost = activity.cost(item.tup)
+        if activity.would_loop(item.tup):
+            run.fate, run.service = "loop", self.watchdog.deadline(cost)
+        else:
+            key = f"{activity.tag}:{item.key}"
+            fails = self.failure_model.fails(key, run.attempt)
+            run.fate = "fail" if fails else "ok"
+            run.service = cost / run.core.speed
+        self.journal.attempt_started(
+            item.key, activity.tag, run.attempt, ts=start - self.t0
+        )
+        run.tid = self.store.begin_activation(
+            run.actid, item.key, start - self.t0,
+            vm_id=run.core.vm_id, core_index=run.core.core_index,
+            attempt=run.attempt,
+        )
+        heapq.heappush(
+            self._running, (start + run.service, next(self._seq), run)
+        )
+
+    def next_completion(self, timeout: float | None = None) -> Completion | None:
+        while self._running:
+            finish, _, run = heapq.heappop(self._running)
+            self.clock.run(until=finish)  # boots VMs due by then
+            self._usable = None
+            item, activity = run.item, run.activity
+            end = finish - self.t0
+            outs: list[dict] = []
+            if run.fate == "loop":
+                self.store.end_activation(
+                    run.tid, end, ActivationStatus.ABORTED, 137,
+                    "looping state killed by watchdog",
+                )
+                run.outcome.timed_out = True
+            elif run.fate == "fail":
+                self.store.end_activation(
+                    run.tid, end, ActivationStatus.FAILED, 1,
+                    "injected failure",
+                )
+                if self.retry.should_retry(run.attempt):
+                    run.outcome.retried += 1
+                    run.attempt += 1
+                    delay = self.retry.delay(run.attempt - 1, item.key)
+                    self._launch(run, finish + delay)
+                    continue
+            else:
+                self.store.end_activation(run.tid, end)
+                if self.data_model is not None:
+                    self._bytes.append(self.data_model(activity.tag, item.tup))
+                if activity.fn is not None:
+                    raw = activity.run(item.tup, self.context)
+                else:
+                    raw = [dict(item.tup)]
+                outs = collect_outputs(self.store, activity, raw, run.tid)
+                run.outcome.succeeded = True
+                run.outcome.duration = run.service
+            self._busy.discard(run.core)
+            return Completion(item, outs, run.outcome)
+        return None
+
+    # -- lifecycle -----------------------------------------------------------
+    def finish(self) -> dict:
+        return {
+            "cost_usd": self.cluster.cost(),
+            # fsum is exact, so the volume cannot depend on completion order.
+            "bytes_written": math.fsum(self._bytes),
+            "peak_cores": self.peak_cores,
+        }
+
+    def shutdown(self) -> None:
+        pass

@@ -6,9 +6,9 @@ paper observes that the greedy plan computation itself becomes expensive
 as activations x VMs grows — the cause of the 32 -> 128-core efficiency
 decay (Fig. 9) — so the scheduler models that overhead explicitly.
 
-The engine consumes schedulers through a priority interface (job
-priority + core priority + per-round overhead), which keeps the
-discrete-event loop at O(log n) per dispatch; :meth:`Scheduler.assign`
+The ready queue pops by job priority in O(log n) per dispatch; the
+simulated plane puts each item on the free core of highest priority and
+charges the overhead once per dispatch round. :meth:`Scheduler.assign`
 offers the equivalent batch semantics for tests and offline planning.
 
 A round-robin baseline is provided for the ablation benchmark.

@@ -54,8 +54,10 @@ def _screen(backend: str, **overrides):
     return report, outcomes
 
 
-def _no_plane_segments() -> bool:
-    return not glob.glob("/dev/shm/rp*")
+def _no_plane_segments(at_start: frozenset[str]) -> bool:
+    """No artifact-plane segment beyond those /dev/shm held when the
+    test session began (see ``tests/conftest.py``)."""
+    return not set(glob.glob("/dev/shm/rp*")) - at_start
 
 
 class TestBackendParity:
@@ -84,15 +86,15 @@ class TestBackendParity:
         ad4_builds = {k for k in builds if k.startswith("ad4maps:")}
         assert len(ad4_builds) == len(RECEPTORS)
 
-    def test_no_segments_survive_shutdown(self, runs):
-        assert _no_plane_segments()
+    def test_no_segments_survive_shutdown(self, runs, shm_segments_at_start):
+        assert _no_plane_segments(shm_segments_at_start)
 
-    def test_shared_maps_opt_out(self):
+    def test_shared_maps_opt_out(self, shm_segments_at_start):
         report, outcomes = _screen("processes", shared_maps=False)
         assert report.artifact_stats == {}
         _, baseline = _screen("threads")
         assert outcomes == baseline
-        assert _no_plane_segments()
+        assert _no_plane_segments(shm_segments_at_start)
 
 
 class TestMapCachePersistence:
@@ -120,7 +122,7 @@ class TestMapCachePersistence:
 
 
 class TestWorkerCrashCleanup:
-    def test_crash_after_publish_leaks_nothing(self):
+    def test_crash_after_publish_leaks_nothing(self, shm_segments_at_start):
         # Build maps into the plane, then kill the worker outright: the
         # engine must fail the run gracefully and still unlink segments.
         wf = Workflow(
@@ -145,7 +147,7 @@ class TestWorkerCrashCleanup:
         assert not report.succeeded
         assert report.artifact_stats["builds"] == 1
         assert report.artifact_stats["segments"]
-        assert _no_plane_segments()
+        assert _no_plane_segments(shm_segments_at_start)
 
 
 class TestRunStateCleanup:

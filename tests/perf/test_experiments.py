@@ -105,3 +105,37 @@ class TestCoreSweep:
         assert isinstance(sweep, CoreSweepResult)
         assert sweep.scenario == "ad4"
         assert len(sweep.points) == 3
+
+
+class TestExactCounts:
+    """The simulator's counts, pinned exactly.
+
+    Failures are a hash of (lineage key, attempt) and blocking/looping
+    are per-tuple predicates, so none of these may depend on dispatch
+    order, scheduling overhead or retry placement. ``bytes_written`` is
+    a float sum: its last bits depend on summation order, so it is
+    pinned to a relative 1e-12.
+    """
+
+    def test_adaptive_with_failures(self):
+        report = run_single_scale(
+            16, scenario="adaptive", n_pairs=150, failure_rate=0.1
+        ).report
+        assert (report.retried, report.blocked, report.aborted) == (117, 7, 0)
+        assert report.timeouts == 0
+        assert report.total_activations == 1165
+        assert len(report.output) == 143
+        assert report.counts == {"BLOCKED": 7, "FAILED": 117, "FINISHED": 1158}
+        assert report.bytes_written == pytest.approx(8423838828.157244, rel=1e-12)
+
+    def test_adaptive_watchdog_only(self):
+        report = run_single_scale(
+            16, scenario="adaptive", n_pairs=238, failure_rate=0.0,
+            block_known_loopers=False,
+        ).report
+        assert (report.retried, report.blocked, report.aborted) == (0, 0, 9)
+        assert report.timeouts == 9
+        assert report.total_activations == 1859
+        assert len(report.output) == 229
+        assert report.counts == {"ABORTED": 9, "FINISHED": 1850}
+        assert report.bytes_written == pytest.approx(13540583583.112185, rel=1e-12)

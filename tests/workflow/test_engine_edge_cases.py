@@ -79,14 +79,8 @@ class TestReducePlacement:
 
 
 class TestProvenanceTimingInvariants:
-    def test_sim_activation_times_ordered_and_disjoint_per_core(self):
-        store = ProvenanceStore()
-        cluster = VirtualCluster(CloudProvider(SimClock()))
-        cluster.scale_to(4)
-        wf = Workflow("W", [Activity("a", Operator.MAP, cost_fn=lambda t: 7.0)])
-        rel = Relation("in", [{"x": i} for i in range(20)])
-        report = SimulatedEngine(store, cluster).run(wf, rel)
-        rows = store.activations(report.wkfid, ActivationStatus.FINISHED)
+    @staticmethod
+    def _assert_disjoint_per_core(rows) -> None:
         # start < end everywhere.
         assert all(r["starttime"] < r["endtime"] for r in rows)
         # No two activations overlap on the same core.
@@ -99,6 +93,33 @@ class TestProvenanceTimingInvariants:
             spans.sort()
             for (s1, e1), (s2, e2) in zip(spans, spans[1:]):
                 assert s2 >= e1 - 1e-9
+
+    def test_sim_activation_times_ordered_and_disjoint_per_core(self):
+        store = ProvenanceStore()
+        cluster = VirtualCluster(CloudProvider(SimClock()))
+        cluster.scale_to(4)
+        wf = Workflow("W", [Activity("a", Operator.MAP, cost_fn=lambda t: 7.0)])
+        rel = Relation("in", [{"x": i} for i in range(20)])
+        report = SimulatedEngine(store, cluster).run(wf, rel)
+        rows = store.activations(report.wkfid, ActivationStatus.FINISHED)
+        self._assert_disjoint_per_core(rows)
+
+    def test_sim_attempts_disjoint_per_core_with_retries(self):
+        store = ProvenanceStore()
+        cluster = VirtualCluster(CloudProvider(SimClock()))
+        cluster.scale_to(4)
+        wf = Workflow("W", [Activity("a", Operator.MAP, cost_fn=lambda t: 7.0)])
+        rel = Relation("in", [{"x": i} for i in range(20)])
+        report = SimulatedEngine(
+            store, cluster,
+            failure_model=ActivityFailureModel(rate=0.3, seed=4),
+            retry=RetryPolicy(max_attempts=6),
+        ).run(wf, rel)
+        assert report.retried > 0
+        # Every attempt, failed ones included.
+        rows = store.activations(report.wkfid)
+        assert len(rows) == 20 + report.retried
+        self._assert_disjoint_per_core(rows)
 
     def test_sim_tet_spans_all_activations(self):
         store = ProvenanceStore()

@@ -9,7 +9,7 @@ from repro.cloud.simclock import SimClock
 from repro.provenance.queries import query1_activity_statistics
 from repro.provenance.store import ActivationStatus, ProvenanceStore
 from repro.workflow.activity import Activity, Operator, Workflow
-from repro.workflow.adaptive import AdaptiveElasticityPolicy
+from repro.workflow.adaptive import AdaptiveElasticityPolicy, StaticPolicy
 from repro.workflow.engine import EngineError, LocalEngine, SimulatedEngine
 from repro.workflow.extractor import JsonExtractor
 from repro.workflow.fault import RetryPolicy, Watchdog
@@ -297,6 +297,16 @@ class TestSimulatedEngine:
         report = engine.run(wf, rel)
         assert report.peak_cores > 4
 
+    def test_static_policy_grows_past_starting_cluster(self):
+        # A virtual cluster has no pool ceiling: a policy without
+        # ``max_cores`` still scales to whatever it asks for.
+        wf = Workflow("w", [Activity("work", Operator.MAP, cost_fn=lambda t: 100.0)])
+        rel = Relation("in", [{"x": i} for i in range(64)])
+        report = make_sim_engine(
+            cores=4, elasticity=StaticPolicy(32)
+        ).run(wf, rel)
+        assert report.peak_cores == 32
+
     def test_provenance_has_vm_assignments(self):
         store = ProvenanceStore()
         clock = SimClock()
@@ -325,6 +335,65 @@ class TestSimulatedEngine:
         # As the backlog drained, idle VMs were terminated.
         assert cluster.total_cores < 32
         assert len(report.output) == 48
+
+
+class _NoWallClock:
+    """Stand-in ``time`` module: any wall-clock read or sleep fails."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"simulated run touched time.{name}")
+
+
+class TestVirtualTime:
+    """The shared run loop reads only the injected SimClock."""
+
+    @staticmethod
+    def _run():
+        from repro.workflow.steering import SteeringControl
+
+        wf = Workflow(
+            "w",
+            [
+                Activity(
+                    "prep", Operator.MAP, cost_fn=lambda t: 40.0,
+                    looping_predicate=lambda t: t["x"] == 3,
+                ),
+                Activity("dock", Operator.MAP, cost_fn=lambda t: 25.0),
+            ],
+        )
+        control = SteeringControl()
+        control.abort_tuple("k5")
+        rel = Relation("in", [{"x": i, "key": f"k{i}"} for i in range(24)])
+        engine = make_sim_engine(
+            cores=4,
+            failure_model=ActivityFailureModel(rate=0.3, seed=2),
+            retry=RetryPolicy(max_attempts=6),
+            watchdog=Watchdog(timeout=500),
+            block_known_loopers=False,
+            elasticity=AdaptiveElasticityPolicy(
+                min_cores=4, max_cores=16, drain_horizon=100.0
+            ),
+        )
+        return engine.run(wf, rel, context={"steering": control})
+
+    def test_no_wall_clock_and_deterministic(self, monkeypatch):
+        import repro.workflow.coordinator as coordinator_mod
+        import repro.workflow.dispatch as dispatch_mod
+        import repro.workflow.engine as engine_mod
+        import repro.workflow.planes as planes_mod
+
+        for mod in (coordinator_mod, dispatch_mod, engine_mod, planes_mod):
+            monkeypatch.setattr(mod, "time", _NoWallClock(), raising=False)
+        first, second = self._run(), self._run()
+        assert first.retried > 0
+        assert first.blocked == 1  # the steered tuple
+        assert first.aborted == first.timeouts == 1  # the looper
+        assert first.pool_resizes > 0 and first.peak_cores > 4
+        assert len(first.output) == 22
+        # The looper spent its whole deadline in virtual time.
+        assert first.tet_seconds >= 500
+        assert first.tet_seconds == second.tet_seconds
+        assert first.counts == second.counts
 
 
 class TestBufferedProvenanceParity:

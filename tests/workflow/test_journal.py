@@ -292,3 +292,38 @@ class TestSimulatedEngineJournal:
         assert names[-1] == "run-finished"
         assert names.count("completed") == 3
         assert_strictly_monotonic([r["seq"] for r in rows])
+
+    def test_sim_run_with_failures_replays(self):
+        from repro.cloud.cluster import VirtualCluster
+        from repro.cloud.failures import ActivityFailureModel
+        from repro.cloud.provider import CloudProvider
+        from repro.cloud.simclock import SimClock
+        from repro.workflow.engine import SimulatedEngine
+
+        class FailKey:
+            """``b`` always fails; ``a`` fails on its first attempt."""
+
+            def fails(self, key, attempt=0):
+                return key == "s:b" or (key == "s:a" and attempt == 0)
+
+        store = ProvenanceStore()
+        cluster = VirtualCluster(CloudProvider(SimClock()))
+        cluster.scale_to(2)
+        wf = Workflow("W", [Activity("s", Operator.MAP, cost_fn=lambda t: 3.0)])
+        report = SimulatedEngine(
+            store, cluster, failure_model=FailKey(),
+            retry=RetryPolicy(max_attempts=2, retry_delay=0.5),
+        ).run(wf, rel("a", "b", "c"))
+        assert report.retried == 2
+        replay = replay_journal(store, report.wkfid)
+        assert replay.finished
+        assert replay.terminal == {
+            (0, "a"): "completed", (0, "b"): "failed", (0, "c"): "completed",
+        }
+        assert replay.outputs_for(0, "a") == [{"key": "a"}]
+        assert replay.outputs_for(0, "b") is None
+        assert replay.frontier() == []
+        assert [t["key"] for t in replay.seed_relation()] == ["a", "b", "c"]
+        # Journal timestamps are virtual seconds since the run started.
+        rows = store.journal_events(report.wkfid)
+        assert rows[-1]["ts"] == pytest.approx(report.tet_seconds)
