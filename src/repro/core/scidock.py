@@ -398,22 +398,25 @@ def resume_scidock(
 ) -> tuple[ExecutionReport, ProvenanceStore]:
     """Continue a crashed/incomplete SciDock run from its journal.
 
-    Journal-first: for journaled runs, ``LocalEngine.resume`` replays
-    every durably-completed tuple from the logged outputs (zero
-    recomputation) and executes only what the crash left unfinished,
-    under the journaled context. Pre-journal runs fall back to the
-    ``resume_failed`` provenance heuristics, which need ``pairs`` (the
-    original input relation) to classify tuples.
+    ``LocalEngine.resume`` replays every durably-completed tuple from the
+    logged outputs (zero recomputation) and executes only what the crash
+    left unfinished, under the journaled context; ``pairs`` overrides
+    the relation recovered from the journal. A run with no readable
+    journal raises :class:`~repro.workflow.journal.JournalError`.
 
     Runs journaled under the removed table-driven energy kernels
     (context ``kernel == "tables"``) are refused: finishing them under
     the analytic kernel would mix two energy functions in one result
     set.
     """
-    from repro.workflow.journal import has_journal, recover_context
-    from repro.workflow.reexec import resume_failed
+    from repro.workflow.journal import JournalError, recover_context
 
-    journaled = recover_context(store, wkfid) or {}
+    journaled = recover_context(store, wkfid)
+    if journaled is None:
+        raise JournalError(
+            f"run {wkfid} has no readable run journal in this store, so "
+            "it cannot be resumed; start a fresh run instead"
+        )
     if journaled.get("kernel") == "tables":
         raise ValueError(
             f"run {wkfid} was journaled under the table-driven energy "
@@ -423,27 +426,10 @@ def resume_scidock(
         )
     config = config or SciDockConfig()
     engine = build_scidock_engine(config, store)
-    workflow = build_scidock_workflow(config)
-    if has_journal(store, wkfid):
-        try:
-            report = engine.resume(wkfid, workflow, relation=pairs)
-        finally:
-            engine.shutdown()
-        return report, store
-    if pairs is None:
-        raise ValueError(
-            f"run {wkfid} predates the run journal; pass the original "
-            "pair relation so the provenance heuristics can classify it"
+    try:
+        report = engine.resume(
+            wkfid, build_scidock_workflow(config), relation=pairs
         )
-    report, _plan = resume_failed(
-        store, wkfid, workflow, pairs, engine=engine
-    )
-    if report is None:
-        # Nothing left to re-run: synthesize an empty completion report.
-        report = ExecutionReport(
-            wkfid=wkfid,
-            workflow_tag=workflow.tag,
-            tet_seconds=0.0,
-            output=Relation(f"{workflow.tag}:output", schema=("key",)),
-        )
+    finally:
+        engine.shutdown()
     return report, store

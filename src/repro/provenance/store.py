@@ -34,27 +34,33 @@ _ACTIVATION_COLS = (
     "speculative",
 )
 
-#: Statuses that must be durable the moment they are recorded: a
-#: crash-resumed coordinator trusts these rows (and the journal events
-#: written in the same commit), so they may never sit in the write
-#: buffer waiting for the next batch.
-_TERMINAL_STATUSES = frozenset({
-    ActivationStatus.FINISHED.value,
-    ActivationStatus.FAILED.value,
-    ActivationStatus.ABORTED.value,
-    ActivationStatus.BLOCKED.value,
-})
+#: Values of the optional hactivation columns a new row leaves unset.
+_ACTIVATION_DEFAULTS = {
+    "endtime": None,
+    "status": ActivationStatus.RUNNING.value,
+    "exitstatus": 0,
+    "errormsg": "",
+    "vm_id": "",
+    "core_index": -1,
+    "workdir": "",
+    "attempt": 0,
+    "speculative": 0,
+}
 
 
 class ProvenanceStore:
     """SQLite-backed PROV-Wf repository.
 
-    Locking contract: a single :class:`threading.Lock` serializes every
-    database touch *and* every write-buffer mutation. The connection is
-    opened with ``check_same_thread=False`` so the engine's bookkeeping
-    threads may call in concurrently; any new method must take
-    ``self._lock`` around its SQLite and buffer access (or route through
-    the ``_execute``/``_buffered_*``/``sql`` helpers, which do).
+    Locking contract: ``self._lock`` serializes every database touch
+    (and therefore every flush, in order); ``self._buf_lock`` guards the
+    write buffers and id counters, and is only ever taken *inside*
+    ``self._lock`` or alone. A flush swaps the buffers out under
+    ``_buf_lock`` and writes them under ``_lock`` only, so threads
+    appending records never wait for SQLite. The connection is opened
+    with ``check_same_thread=False`` so the engine's bookkeeping threads
+    may call in concurrently; any new method must follow the same
+    contract (or route through the ``_execute``/``sql``/:meth:`flush`
+    helpers, which do).
 
     Write batching: per-activation records (activation begin/end, file
     and extract rows) dominate write volume at thousands of pairs. With
@@ -68,6 +74,12 @@ class ProvenanceStore:
     :meth:`begin_activation` can hand out task ids without touching the
     database. The default ``buffer_size=1`` keeps the historical
     write-through behavior.
+
+    Durability has one rule: a run-journal event recorded with
+    ``barrier=True`` flushes, and every flush drains all buffers under
+    one commit. An attempt's row therefore commits with the terminal
+    journal event (completed/failed/aborted/blocked) that follows it,
+    and a reader in another process sees it from that barrier on.
     """
 
     def __init__(
@@ -86,6 +98,7 @@ class ProvenanceStore:
         )
         self._conn.row_factory = sqlite3.Row
         self._lock = threading.Lock()
+        self._buf_lock = threading.Lock()
         self.buffer_size = buffer_size
         self.flush_interval = flush_interval
         #: RUNNING rows not yet flushed, by taskid — end_activation
@@ -150,76 +163,73 @@ class ProvenanceStore:
             + len(self._pending_journal)
         )
 
-    def _maybe_flush_locked(self) -> None:
-        if self._pending_count >= self.buffer_size:
-            self._flush_locked()
-        elif (
+    def _flush_due_buffered(self) -> bool:
+        """Whether the buffers should be flushed (``_buf_lock`` held)."""
+        return self._pending_count >= self.buffer_size or (
             self.flush_interval is not None
             and time.monotonic() - self._last_flush >= self.flush_interval
-        ):
-            self._flush_locked()
+        )
 
     def _flush_locked(self) -> None:
-        """Drain every buffer as executemany batches under one commit."""
-        dirty = False
-        if self._pending_order:
-            rows = [
-                tuple(self._pending_activations[tid][c] for c in _ACTIVATION_COLS)
-                for tid in self._pending_order
-            ]
+        """Drain every buffer as executemany batches under one commit.
+
+        Called with ``_lock`` held, so flushes write in the order they
+        swapped their buffers out: an UPDATE queued after its row was
+        swapped out lands in a later batch than the row's INSERT.
+        """
+        with self._buf_lock:
+            order, acts = self._pending_order, self._pending_activations
+            ends, files = self._pending_ends, self._pending_files
+            extracts, deps = self._pending_extracts, self._pending_deps
+            journal = self._pending_journal
+            self._pending_order, self._pending_activations = [], {}
+            self._pending_ends, self._pending_files = [], []
+            self._pending_extracts, self._pending_deps = [], []
+            self._pending_journal = []
+            self._last_flush = time.monotonic()
+        if order:
             self._conn.executemany(
                 "INSERT INTO hactivation"
                 f" ({', '.join(_ACTIVATION_COLS)})"
                 f" VALUES ({', '.join('?' * len(_ACTIVATION_COLS))})",
-                rows,
+                [
+                    tuple(acts[tid][c] for c in _ACTIVATION_COLS)
+                    for tid in order
+                ],
             )
-            self._pending_activations.clear()
-            self._pending_order.clear()
-            dirty = True
-        if self._pending_ends:
+        if ends:
             self._conn.executemany(
                 "UPDATE hactivation SET endtime = ?, status = ?, exitstatus = ?,"
                 " errormsg = ? WHERE taskid = ?",
-                self._pending_ends,
+                ends,
             )
-            self._pending_ends.clear()
-            dirty = True
-        if self._pending_files:
+        if files:
             self._conn.executemany(
                 "INSERT INTO hfile (fileid, taskid, fname, fsize, fdir,"
                 " direction) VALUES (?, ?, ?, ?, ?, ?)",
-                self._pending_files,
+                files,
             )
-            self._pending_files.clear()
-            dirty = True
-        if self._pending_extracts:
+        if extracts:
             self._conn.executemany(
                 "INSERT INTO hextract (extractid, taskid, key, value)"
                 " VALUES (?, ?, ?, ?)",
-                self._pending_extracts,
+                extracts,
             )
-            self._pending_extracts.clear()
-            dirty = True
-        if self._pending_deps:
+        if deps:
             self._conn.executemany(
                 "INSERT INTO hdependency (depid, wkfid, child_key,"
                 " child_actid, parent_key, parent_actid)"
                 " VALUES (?, ?, ?, ?, ?, ?)",
-                self._pending_deps,
+                deps,
             )
-            self._pending_deps.clear()
-            dirty = True
-        if self._pending_journal:
+        if journal:
             self._conn.executemany(
                 "INSERT INTO hjournal (eventid, wkfid, seq, event, stage,"
                 " tuple_key, ts, payload) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                self._pending_journal,
+                journal,
             )
-            self._pending_journal.clear()
-            dirty = True
-        if dirty:
+        if order or ends or files or extracts or deps or journal:
             self._conn.commit()
-        self._last_flush = time.monotonic()
 
     def flush(self) -> None:
         """Push every buffered provenance record into SQLite and commit."""
@@ -229,7 +239,7 @@ class ProvenanceStore:
     def close(self) -> None:
         with self._lock:
             self._flush_locked()
-        self._conn.close()
+            self._conn.close()
 
     def __enter__(self) -> "ProvenanceStore":
         return self
@@ -275,13 +285,14 @@ class ProvenanceStore:
         return int(cur.lastrowid)
 
     # -- activation lifecycle -------------------------------------------------
-    def _buffer_activation_locked(self, row: dict) -> int:
+    def _buffer_activation(self, fields: dict) -> int:
+        """Queue one hactivation row (unset columns take their defaults;
+        ``_buf_lock`` held)."""
         taskid = self._next_taskid
         self._next_taskid += 1
-        row["taskid"] = taskid
+        row = {**_ACTIVATION_DEFAULTS, **fields, "taskid": taskid}
         self._pending_activations[taskid] = row
         self._pending_order.append(taskid)
-        self._maybe_flush_locked()
         return taskid
 
     def begin_activation(
@@ -295,21 +306,21 @@ class ProvenanceStore:
         attempt: int = 0,
         speculative: bool = False,
     ) -> int:
-        with self._lock:
-            return self._buffer_activation_locked({
+        with self._buf_lock:
+            taskid = self._buffer_activation({
                 "actid": actid,
                 "tuple_key": tuple_key,
                 "starttime": starttime,
-                "endtime": None,
-                "status": ActivationStatus.RUNNING.value,
-                "exitstatus": 0,
-                "errormsg": "",
                 "vm_id": vm_id,
                 "core_index": core_index,
                 "workdir": workdir,
                 "attempt": attempt,
                 "speculative": 1 if speculative else 0,
             })
+            due = self._flush_due_buffered()
+        if due:
+            self.flush()
+        return taskid
 
     def end_activation(
         self,
@@ -319,7 +330,7 @@ class ProvenanceStore:
         exitstatus: int = 0,
         errormsg: str = "",
     ) -> None:
-        with self._lock:
+        with self._buf_lock:
             pending = self._pending_activations.get(taskid)
             if pending is not None:
                 # Row never hit the database: complete it in place so the
@@ -334,37 +345,27 @@ class ProvenanceStore:
                 self._pending_ends.append(
                     (endtime, status.value, exitstatus, errormsg, taskid)
                 )
-            if status.value in _TERMINAL_STATUSES:
-                # A terminal status is a durability barrier: once the
-                # caller sees this return, no crash may un-finish the
-                # tuple. Buffering only ever covers RUNNING rows.
-                self._flush_locked()
-            else:
-                self._maybe_flush_locked()
+            due = self._flush_due_buffered()
+        if due:
+            self.flush()
 
     def record_blocked(
         self, actid: int, tuple_key: str, when: float, reason: str
     ) -> int:
         """An activation aborted before dispatch (paper's Hg routine)."""
-        with self._lock:
-            taskid = self._buffer_activation_locked({
+        with self._buf_lock:
+            taskid = self._buffer_activation({
                 "actid": actid,
                 "tuple_key": tuple_key,
                 "starttime": when,
                 "endtime": when,
                 "status": ActivationStatus.BLOCKED.value,
-                "exitstatus": 0,
                 "errormsg": reason,
-                "vm_id": "",
-                "core_index": -1,
-                "workdir": "",
-                "attempt": 0,
-                "speculative": 0,
             })
-            # BLOCKED is terminal from birth — same durability barrier
-            # as end_activation's FINISHED/FAILED/ABORTED.
-            self._flush_locked()
-            return taskid
+            due = self._flush_due_buffered()
+        if due:
+            self.flush()
+        return taskid
 
     # -- artifacts -------------------------------------------------------------
     def record_file(
@@ -375,23 +376,27 @@ class ProvenanceStore:
         fdir: str,
         direction: str = "OUTPUT",
     ) -> int:
-        with self._lock:
+        with self._buf_lock:
             fileid = self._next_fileid
             self._next_fileid += 1
             self._pending_files.append(
                 (fileid, taskid, fname, fsize, fdir, direction)
             )
-            self._maybe_flush_locked()
-            return fileid
+            due = self._flush_due_buffered()
+        if due:
+            self.flush()
+        return fileid
 
     def record_extract(self, taskid: int, key: str, value: object) -> int:
         """Domain data pulled out of produced files by extractor components."""
-        with self._lock:
+        with self._buf_lock:
             extractid = self._next_extractid
             self._next_extractid += 1
             self._pending_extracts.append((extractid, taskid, key, str(value)))
-            self._maybe_flush_locked()
-            return extractid
+            due = self._flush_due_buffered()
+        if due:
+            self.flush()
+        return extractid
 
     def record_dependency(
         self,
@@ -407,22 +412,26 @@ class ProvenanceStore:
         can reconstruct each output tuple's full activation chain even
         under pipelined (non-lockstep) execution.
         """
-        with self._lock:
+        with self._buf_lock:
             depid = self._next_depid
             self._next_depid += 1
             self._pending_deps.append(
                 (depid, wkfid, child_key, child_actid, parent_key, parent_actid)
             )
-            self._maybe_flush_locked()
-            return depid
+            due = self._flush_due_buffered()
+        if due:
+            self.flush()
+        return depid
 
     def record_extracts(self, taskid: int, items: dict) -> None:
-        with self._lock:
+        with self._buf_lock:
             for k, v in items.items():
                 extractid = self._next_extractid
                 self._next_extractid += 1
                 self._pending_extracts.append((extractid, taskid, k, str(v)))
-            self._maybe_flush_locked()
+            due = self._flush_due_buffered()
+        if due:
+            self.flush()
 
     # -- run journal -----------------------------------------------------------
     def record_journal_event(
@@ -436,25 +445,38 @@ class ProvenanceStore:
         payload: bytes | None = None,
         *,
         barrier: bool = False,
+        activation: dict | None = None,
     ) -> int:
         """Append one run-journal event (see :mod:`repro.workflow.journal`).
 
         Events ride the same batched write path as activation rows;
-        ``barrier=True`` flushes synchronously so terminal events
-        (completed/failed/aborted/run-finished) are durable before the
-        coordinator acts on them — the crash-resume guarantee.
+        ``barrier=True`` flushes every buffer synchronously, so terminal
+        events (completed/failed/aborted/blocked/run-finished) are
+        durable before the coordinator acts on them — the crash-resume
+        guarantee.
+
+        ``activation`` holds the columns of an ``hactivation`` row (as
+        :meth:`begin_activation` takes them; unset ones default) to
+        queue together with the event, so both land in the same flush.
+        The call then returns that row's task id; otherwise it returns
+        the event id.
         """
-        with self._lock:
+        with self._buf_lock:
             eventid = self._next_journalid
             self._next_journalid += 1
+            taskid = None
+            if activation is not None:
+                taskid = self._buffer_activation(activation)
             self._pending_journal.append(
                 (eventid, wkfid, seq, event, stage, tuple_key, ts, payload)
             )
-            if barrier:
-                self._flush_locked()
-            else:
-                self._maybe_flush_locked()
-            return eventid
+            due = barrier or self._flush_due_buffered()
+        if due:
+            # A barrier returns only once this event is committed: by
+            # this flush, or by the one holding ``_lock`` that swapped
+            # it out first.
+            self.flush()
+        return eventid if taskid is None else taskid
 
     def journal_events(self, wkfid: int) -> list[sqlite3.Row]:
         """Every journal event of one run, in sequence order."""

@@ -31,7 +31,6 @@ import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
-from repro.provenance.store import ActivationStatus, ProvenanceStore
 from repro.workflow.activity import Activity, Operator, Workflow
 from repro.workflow.dataflow import DataflowState, ReadyQueue, WorkItem
 from repro.workflow.dispatch import AttemptAbortHandle, AttemptOutcome
@@ -188,11 +187,9 @@ class Coordinator:
         ready: ReadyQueue,
         plane: ExecutionPlane,
         *,
-        store: ProvenanceStore,
         journal: RunJournal,
         actids: dict[str, int],
         watchdog: Watchdog,
-        t0: float,
         clock=time.perf_counter,
         steering=None,
         cost_service=None,
@@ -204,11 +201,9 @@ class Coordinator:
         self.state = state
         self.ready = ready
         self.plane = plane
-        self.store = store
         self.journal = journal
         self.actids = actids
         self.watchdog = watchdog
-        self.t0 = t0
         self.clock = clock
         self.steering = steering
         self.service = cost_service
@@ -304,13 +299,10 @@ class Coordinator:
             if self.steering is not None and self.steering.should_abort(
                 activity.tag, item.key
             ):
-                self.store.record_blocked(
-                    actid, item.key, self.clock() - self.t0,
-                    "aborted by user steering",
-                )
                 self.journal.steered(item.stage, item.key, "abort")
                 self.journal.blocked(
                     item.stage, item.key, "aborted by user steering",
+                    actid=actid,
                 )
                 totals.blocked += 1
                 self._enqueue(self.state.retire(item))
@@ -320,40 +312,29 @@ class Coordinator:
                 or not self.plane.spends_looper_deadline
             ):
                 if self.block_known_loopers:
-                    self.store.record_blocked(
-                        actid, item.key, self.clock() - self.t0,
-                        "known looping input (Hg routine)",
-                    )
                     self.journal.blocked(
                         item.stage, item.key,
-                        "known looping input (Hg routine)",
+                        "known looping input (Hg routine)", actid=actid,
                     )
                     totals.blocked += 1
                 else:
                     # Predicate-known looper with the Hg routine
                     # disabled: abort at decision time rather than
-                    # burning the real deadline. End time is the actual
-                    # wall clock of the decision — a fabricated ``start
-                    # + deadline`` would skew per-activity duration
-                    # queries; the deadline it *would* have received is
-                    # kept in errormsg.
-                    start = self.clock() - self.t0
-                    tid = self.store.begin_activation(
-                        actid, item.key, start,
-                        workdir=self.state_workdir(),
-                    )
+                    # burning the real deadline. The row's end time is
+                    # the decision's — a fabricated ``start + deadline``
+                    # would skew per-activity duration queries; the
+                    # deadline it *would* have received is kept in
+                    # errormsg.
                     deadline = self.watchdog.deadline(
                         activity.cost(item.tup)
-                    )
-                    self.store.end_activation(
-                        tid, self.clock() - self.t0,
-                        ActivationStatus.ABORTED, 137,
-                        "looping state killed by watchdog "
-                        f"(deadline {deadline:.3f}s)",
                     )
                     self.journal.aborted(
                         item.stage, item.key,
                         "looping state killed by watchdog",
+                        actid=actid,
+                        errormsg="looping state killed by watchdog "
+                        f"(deadline {deadline:.3f}s)",
+                        workdir=self.state_workdir(),
                     )
                     totals.aborted += 1
                 self._enqueue(self.state.retire(item))
@@ -375,7 +356,7 @@ class Coordinator:
         return True
 
     def state_workdir(self) -> str:
-        """Workdir recorded on coordinator-side provenance rows."""
+        """Workdir recorded on coordinator-side activation rows."""
         context = getattr(self.plane, "context", None)
         return context.get("workdir", "") if isinstance(context, dict) else ""
 

@@ -4,14 +4,15 @@ Extracted from the LocalEngine monolith so the engine proper is only a
 dataflow coordinator (see :mod:`repro.workflow.dataflow`) and the
 per-activation machinery — wall-clock watchdog enforcement on both
 backends, exponential-backoff retries, the infrastructure-failure
-budget, reserved-field stripping and provenance bookkeeping — lives in
-one place with no knowledge of dispatch order or barriers.
+budget, reserved-field stripping and the attempts' activation rows
+(written through the run journal) — lives in one place with no
+knowledge of dispatch order or barriers.
 
 An :class:`AttemptRunner` is constructed once per engine run (it closes
 over the run's router, shipped context, fault injector and cancellation
 handle) and is safe to call from many bookkeeping threads concurrently:
 every method touches only per-call state plus thread-safe collaborators
-(the provenance store serializes internally, the affinity router locks
+(the journal's store serializes internally, the affinity router locks
 its own slots).
 
 Straggler speculation adds a second dispatch entry point,
@@ -21,8 +22,8 @@ provenance rows flagged ``speculative=True``), and an
 twin loses the race — cooperative token cancellation on the threads
 backend, :meth:`AffinityRouter.abort` (dequeue or SIGKILL) on
 processes. A losing attempt is recorded ABORTED with an errormsg
-starting with :data:`SPECULATION_ERRMSG_PREFIX`, which the recovery
-analyzer treats as "not real work lost".
+starting with :data:`SPECULATION_ERRMSG_PREFIX`; the winning twin's
+``completed`` event is what a resume replays.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from repro.workflow.fault import (
     WatchdogTimeout,
     run_activation_with_faults,
 )
+from repro.workflow.journal import RunJournal
 
 #: Context entries that never cross a process boundary: live caches
 #: (rebuilt per worker via the cache token), the in-memory shared FS and
@@ -171,7 +173,7 @@ class AttemptRunner:
 
     def __init__(
         self,
-        store: ProvenanceStore,
+        journal: RunJournal,
         retry: RetryPolicy,
         watchdog: Watchdog,
         *,
@@ -179,18 +181,16 @@ class AttemptRunner:
         shipped_context: dict | None = None,
         fault_injector: FaultInjector | None = None,
         cancel_handle: CancelTokenHandle | None = None,
-        journal=None,
     ) -> None:
-        self.store = store
+        #: The run's journal: each attempt's activation row and
+        #: ``attempt-start`` event go through it.
+        self.journal = journal
         self.retry = retry
         self.watchdog = watchdog
         self.router = router
         self.shipped_context = shipped_context
         self.fault_injector = fault_injector
         self.cancel_handle = cancel_handle
-        #: Optional :class:`~repro.workflow.journal.RunJournal`: each
-        #: dispatched attempt logs an ``attempt-start`` event.
-        self.journal = journal
 
     # -- execution ----------------------------------------------------------
     def _call_with_watchdog(
@@ -370,13 +370,10 @@ class AttemptRunner:
                 outcome.cancelled = True
                 return [], outcome
             start = time.perf_counter() - t0
-            tid = self.store.begin_activation(
-                actid, key, start, workdir=context.get("workdir", ""), attempt=attempt
+            tid = self.journal.attempt_started(
+                key, activity.tag, attempt, actid=actid, ts=start,
+                workdir=context.get("workdir", ""),
             )
-            if self.journal is not None:
-                self.journal.attempt_started(
-                    key, activity.tag, attempt, ts=start
-                )
             deadline = self.watchdog.deadline(activity.cost(tup))
             try:
                 raw = self._execute_activation(
@@ -389,7 +386,7 @@ class AttemptRunner:
                 return [], outcome
             except WatchdogTimeout as exc:
                 now = time.perf_counter() - t0
-                self.store.end_activation(
+                self.journal.attempt_ended(
                     tid, now, ActivationStatus.ABORTED, 137,
                     f"watchdog timeout after {now - start:.3f}s "
                     f"(deadline {deadline:.3f}s; {exc.detail})",
@@ -405,7 +402,7 @@ class AttemptRunner:
                     outcome.cancelled = True
                     return [], outcome
                 now = time.perf_counter() - t0
-                self.store.end_activation(
+                self.journal.attempt_ended(
                     tid, now, ActivationStatus.FAILED, 137,
                     f"infrastructure failure: {type(exc).__name__}: {exc}",
                 )
@@ -421,7 +418,7 @@ class AttemptRunner:
                     self._record_loss(tid, t0)
                     outcome.cancelled = True
                     return [], outcome
-                self.store.end_activation(
+                self.journal.attempt_ended(
                     tid,
                     time.perf_counter() - t0,
                     ActivationStatus.FAILED,
@@ -435,9 +432,9 @@ class AttemptRunner:
                     outcome.retried += 1
                     continue
                 return [], outcome
-            outs = collect_outputs(self.store, activity, raw, tid)
+            outs = collect_outputs(self.journal.store, activity, raw, tid)
             now = time.perf_counter() - t0
-            self.store.end_activation(tid, now)
+            self.journal.attempt_ended(tid, now)
             outcome.succeeded = True
             outcome.duration = now - start
             return outs, outcome
@@ -465,14 +462,10 @@ class AttemptRunner:
             outcome.cancelled = True
             return [], outcome
         start = time.perf_counter() - t0
-        tid = self.store.begin_activation(
-            actid, key, start, workdir=context.get("workdir", ""),
-            attempt=0, speculative=True,
+        tid = self.journal.attempt_started(
+            key, activity.tag, 0, actid=actid, speculative=True, ts=start,
+            workdir=context.get("workdir", ""),
         )
-        if self.journal is not None:
-            self.journal.attempt_started(
-                key, activity.tag, 0, speculative=True, ts=start
-            )
         deadline = self.watchdog.deadline(activity.cost(tup))
         try:
             # tries=1: deterministic first-try fault plans (the usual
@@ -488,7 +481,7 @@ class AttemptRunner:
             return [], outcome
         except WatchdogTimeout as exc:
             now = time.perf_counter() - t0
-            self.store.end_activation(
+            self.journal.attempt_ended(
                 tid, now, ActivationStatus.ABORTED, 137,
                 f"watchdog timeout after {now - start:.3f}s "
                 f"(deadline {deadline:.3f}s; {exc.detail})",
@@ -500,7 +493,7 @@ class AttemptRunner:
                 self._record_loss(tid, t0)
                 outcome.cancelled = True
                 return [], outcome
-            self.store.end_activation(
+            self.journal.attempt_ended(
                 tid,
                 time.perf_counter() - t0,
                 ActivationStatus.FAILED,
@@ -508,16 +501,16 @@ class AttemptRunner:
                 f"{type(exc).__name__}: {exc}",
             )
             return [], outcome
-        outs = collect_outputs(self.store, activity, raw, tid)
+        outs = collect_outputs(self.journal.store, activity, raw, tid)
         now = time.perf_counter() - t0
-        self.store.end_activation(tid, now)
+        self.journal.attempt_ended(tid, now)
         outcome.succeeded = True
         outcome.duration = now - start
         return outs, outcome
 
     def _record_loss(self, tid: int, t0: float) -> None:
         """Close a superseded attempt's provenance row."""
-        self.store.end_activation(
+        self.journal.attempt_ended(
             tid,
             time.perf_counter() - t0,
             ActivationStatus.ABORTED,

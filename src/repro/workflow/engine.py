@@ -261,11 +261,9 @@ class _Engine:
             run.state,
             run.ready,
             plane,
-            store=self.store,
             journal=run.journal,
             actids=run.actids,
             watchdog=self.watchdog,
-            t0=run.t0,
             clock=run.clock,
             steering=context.get("steering"),
             cost_service=self.cost_service,
@@ -529,7 +527,7 @@ class LocalEngine(_Engine):
             self._director.wait_for_nodes(self.min_nodes, self.join_timeout)
 
         runner = AttemptRunner(
-            self.store,
+            journal,
             self.retry,
             self.watchdog,
             router=self._director
@@ -538,7 +536,6 @@ class LocalEngine(_Engine):
             shipped_context=self._shipped_context,
             fault_injector=fault_injector,
             cancel_handle=cancel_handle,
-            journal=journal,
         )
         #: Dispatch cap the elasticity policy moves; the plane's thread
         #: pool is sized to the ceiling so a grow needs no new pool.
@@ -690,10 +687,18 @@ class LocalEngine(_Engine):
         a resumed run that crashes can itself be resumed, because every
         replayed completion is re-journaled as a completed event.
 
-        Raises :class:`~repro.workflow.journal.JournalError` for
-        pre-journal runs — use
-        :func:`repro.workflow.reexec.resume_failed` (the provenance-
-        heuristics fallback) for those.
+        This is the only resume path, and it covers every recovery
+        case from the journal alone: under a healed workflow only the
+        items that failed re-execute; a larger relation runs just its
+        new keys; a watchdog-timed-out item re-executes; a blocked item
+        or a predicate-known looper is blocked or aborted again at
+        decision time, without reaching a worker; and a tuple won by a
+        speculative twin replays like any other completion.
+
+        Raises :class:`~repro.workflow.journal.JournalError` for runs
+        without a journal and for a journal whose run-started header
+        cannot be read back (resuming under a default context would
+        silently change the re-run work's configuration).
         """
         replay = replay_journal(self.store, wkfid)
         if relation is None:
@@ -767,11 +772,10 @@ class SimulatedEngine(_Engine):
             workflow, relation, context, lambda: sim_clock.now
         )
         plane = SimulatedPlane(
-            self.store, self.cluster, self.scheduler,
+            run.journal, self.cluster, self.scheduler,
             retry=self.retry, watchdog=self.watchdog,
-            failure_model=self.failure_model, journal=run.journal,
-            context=context, core_limit=self.core_limit,
-            data_model=self.data_model,
+            failure_model=self.failure_model, context=context,
+            core_limit=self.core_limit, data_model=self.data_model,
         )
         totals = self._drive(
             run, plane, relation, context,

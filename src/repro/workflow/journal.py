@@ -1,14 +1,15 @@
-"""Event-sourced run journal: crash-resumable coordinator state.
+"""Event-sourced run journal: the run loop's one write path and resume path.
 
-The provenance tables record *what happened* per activation; they do not
-record what the coordinator had decided. Kill an engine process between
-batch flushes and ``analyze_run`` must reverse-engineer the run frontier
-from activation rows that are partially flushed and never marked
-terminal. This module closes that gap the way durable workflow engines
+Every coordinator state transition is appended to an ``hjournal`` event
+log with a per-run monotonic sequence number, and the log alone is
+enough to rebuild the run — the way durable workflow engines
 (Temporal-style event sourcing; the prospective-vs-retrospective split
-of the provenance literature) do: every coordinator state transition is
-appended to an ``hjournal`` event log with a per-run monotonic sequence
-number, and the log alone is enough to rebuild the run.
+of the provenance literature) do it. The journal is also the only
+writer of run state for the coordinator, the attempt runner and the
+simulated plane: the attempt and pre-dispatch emitters write the
+activation's ``hactivation`` row in the same store call as their event
+and return its task id, and :meth:`RunJournal.attempt_ended` closes the
+row.
 
 Event taxonomy (one row each, ``seq`` strictly monotonic per run):
 
@@ -20,14 +21,14 @@ Event taxonomy (one row each, ``seq`` strictly monotonic per run):
                    ready (payload: its input tuple + parent key)
 ``dispatched``     the coordinator handed the item to a worker
 ``attempt-start``  one activation attempt began (payload: attempt number,
-                   speculative flag)
+                   speculative flag); writes the RUNNING activation row
 ``completed``      the item retired successfully (payload: its output
                    tuples) — **flush barrier**
 ``failed``         the item retired with a terminal failure — **barrier**
 ``aborted``        watchdog timeout / predicate or looper abort /
                    speculation loss — **barrier**
 ``blocked``        retired pre-dispatch (steering rule, Hg-style
-                   predicate) — **barrier**
+                   predicate) — **barrier**; writes the BLOCKED row
 ``replayed``       a resumed run satisfied the item from an ancestor's
                    journal instead of executing it
 ``resized``        the elastic pool changed size (payload: target)
@@ -35,11 +36,14 @@ Event taxonomy (one row each, ``seq`` strictly monotonic per run):
 ``run-finished``   the coordinator loop drained — **barrier**
 =================  ==========================================================
 
-Flush-barrier semantics: terminal events ride the store's batched write
-path but force a synchronous flush+commit (sharing the terminal-status
-flush of ``end_activation``), so the instant the coordinator *acts* on a
-completion the fact is durable. A SIGKILL can lose RUNNING noise, never
-a completed tuple.
+Flush-barrier semantics: the store has one durability rule — a barrier
+event flushes, and a flush drains every buffer under one commit. An
+attempt's row is buffered when it starts and closed in the buffer when
+it ends, so it commits with the terminal event that follows it; a
+reader in another process sees it from that barrier on. The instant the
+coordinator *acts* on a completion the fact is durable: a SIGKILL can
+lose RUNNING noise or a retried attempt's FAILED row, never a completed
+tuple.
 
 Replay: :func:`replay_journal` folds the log into a
 :class:`JournalReplay` — completed outputs by ``(stage, key)``, terminal
@@ -49,20 +53,27 @@ re-runs the workflow against it: because lineage keys are deterministic
 functions of (parent key, activity tag, output ordinal), re-seeding the
 same relation regenerates the same item keys, and every key the journal
 marks ``completed`` is satisfied from the logged outputs with zero
-re-execution. Items the crashed run never finished (RUNNING, FAILED,
-timed-out) fall through and run for real. Pre-journal runs keep the
-``analyze_run`` heuristics in :mod:`repro.workflow.reexec` as fallback.
+re-execution. Everything else — items the crashed run left RUNNING,
+FAILED or timed out, and keys a larger relation adds — runs for real,
+and blocked or predicate-aborted items are blocked or aborted again at
+decision time. A run without a journal cannot be resumed.
+
+Payloads are read back with a restricted unpickler
+(:func:`decode_payload`): builtin containers and scalars, plus classes
+defined under ``repro.``; anything else is refused, never called.
 """
 
 from __future__ import annotations
 
+import builtins
+import io
 import itertools
 import pickle
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
-from repro.provenance.store import ProvenanceStore
+from repro.provenance.store import ActivationStatus, ProvenanceStore
 from repro.workflow.relation import Relation
 
 
@@ -126,11 +137,39 @@ def encode_payload(obj: object) -> bytes | None:
         return None
 
 
+#: Builtins a payload may name: containers and scalars.
+_PAYLOAD_BUILTINS = frozenset({
+    "bool", "bytearray", "bytes", "complex", "dict", "float", "frozenset",
+    "int", "list", "range", "set", "slice", "str", "tuple",
+})
+
+
+class _PayloadUnpickler(pickle.Unpickler):
+    """Resolves only builtin containers/scalars and ``repro.`` classes.
+
+    A payload naming anything else (a function, a class from another
+    package — e.g. ``os.system`` or ``subprocess.Popen``) is refused
+    before it can be called.
+    """
+
+    def find_class(self, module: str, name: str):
+        if module == "builtins" and name in _PAYLOAD_BUILTINS:
+            return getattr(builtins, name)
+        if module == "repro" or module.startswith("repro."):
+            obj = super().find_class(module, name)
+            if isinstance(obj, type) and obj.__module__.startswith("repro."):
+                return obj
+        raise pickle.UnpicklingError(
+            f"journal payload names {module}.{name}, which is not allowed"
+        )
+
+
 def decode_payload(blob: bytes | None) -> object | None:
+    """Unpickle a payload; ``None`` when absent, refused or corrupt."""
     if blob is None:
         return None
     try:
-        return pickle.loads(blob)
+        return _PayloadUnpickler(io.BytesIO(blob)).load()
     except Exception:
         return None
 
@@ -152,10 +191,11 @@ class RunJournal:
 
     One instance per ``wkfid``; the engines thread it through
     :class:`~repro.workflow.dataflow.DataflowState` (schedule/complete
-    events) and :class:`~repro.workflow.dispatch.AttemptRunner`
-    (attempt-start events). ``clock`` supplies event timestamps relative
-    to the run start; the simulated engine passes explicit ``ts``
-    instead.
+    events), the :class:`~repro.workflow.coordinator.Coordinator`
+    (dispatch-time decisions) and the execution planes (attempts). It is
+    their only writer of activation rows. ``clock`` supplies event
+    timestamps relative to the run start; callers that already hold a
+    timestamp pass ``ts`` instead.
     """
 
     def __init__(
@@ -170,6 +210,9 @@ class RunJournal:
         self.clock = clock
         self._seq = itertools.count()
 
+    def _now(self) -> float:
+        return self.clock() if self.clock is not None else 0.0
+
     def record(
         self,
         event: JournalEventType,
@@ -179,12 +222,16 @@ class RunJournal:
         payload: object = None,
         ts: float | None = None,
         barrier: bool | None = None,
-    ) -> None:
+        activation: dict | None = None,
+    ) -> int:
+        """Append one event; with ``activation`` (hactivation columns)
+        also queue that row in the same store call and return its task
+        id (otherwise the event id)."""
         if ts is None:
-            ts = self.clock() if self.clock is not None else 0.0
+            ts = self._now()
         if barrier is None:
             barrier = event in BARRIER_EVENTS
-        self.store.record_journal_event(
+        return self.store.record_journal_event(
             self.wkfid,
             next(self._seq),
             event.value,
@@ -193,6 +240,7 @@ class RunJournal:
             ts,
             encode_payload(payload) if payload is not None else None,
             barrier=barrier,
+            activation=activation,
         )
 
     # -- event emitters (thin, named for grep-ability) -----------------------
@@ -241,15 +289,60 @@ class RunJournal:
         )
 
     def attempt_started(
-        self, key: str, tag: str, attempt: int, *, speculative: bool = False,
-        ts: float | None = None,
-    ) -> None:
-        self.record(
+        self, key: str, tag: str, attempt: int, *, actid: int,
+        speculative: bool = False, ts: float | None = None,
+        workdir: str = "", vm_id: str = "", core_index: int = -1,
+    ) -> int:
+        """One activation attempt began: its RUNNING ``hactivation`` row
+        and its ``attempt-start`` event. Returns the row's task id."""
+        if ts is None:
+            ts = self._now()
+        return self.record(
             JournalEventType.ATTEMPT_STARTED,
             key=key,
             payload={"tag": tag, "attempt": attempt, "speculative": speculative},
             ts=ts,
+            activation={
+                "actid": actid,
+                "tuple_key": key,
+                "starttime": ts,
+                "vm_id": vm_id,
+                "core_index": core_index,
+                "workdir": workdir,
+                "attempt": attempt,
+                "speculative": 1 if speculative else 0,
+            },
         )
+
+    def attempt_ended(
+        self,
+        taskid: int,
+        ts: float,
+        status: ActivationStatus = ActivationStatus.FINISHED,
+        exitstatus: int = 0,
+        errormsg: str = "",
+    ) -> None:
+        """Close an attempt's row. No event: the row stays buffered
+        until the next barrier — the item's terminal event, whenever
+        this attempt decides the item."""
+        self.store.end_activation(taskid, ts, status, exitstatus, errormsg)
+
+    @staticmethod
+    def _decided_row(
+        actid: int, key: str, ts: float, status: ActivationStatus,
+        exitstatus: int, errormsg: str, workdir: str = "",
+    ) -> dict:
+        """Row of an item retired at decision time (start = end = ts)."""
+        return {
+            "actid": actid,
+            "tuple_key": key,
+            "starttime": ts,
+            "endtime": ts,
+            "status": status.value,
+            "exitstatus": exitstatus,
+            "errormsg": errormsg,
+            "workdir": workdir,
+        }
 
     def completed(self, stage: int, key: str, outputs: list[dict],
                   ts: float | None = None) -> None:
@@ -267,14 +360,34 @@ class RunJournal:
                     payload={"reason": reason}, ts=ts)
 
     def aborted(self, stage: int, key: str, reason: str = "",
-                ts: float | None = None) -> None:
-        self.record(JournalEventType.ABORTED, stage=stage, key=key,
-                    payload={"reason": reason}, ts=ts)
+                ts: float | None = None, *, actid: int | None = None,
+                errormsg: str | None = None, workdir: str = "") -> int:
+        """The item was aborted. With ``actid`` it was aborted at decision
+        time, before reaching a worker: its ABORTED row (``errormsg``,
+        defaulting to ``reason``) is written with the event and the
+        row's task id returned."""
+        if ts is None:
+            ts = self._now()
+        row = None
+        if actid is not None:
+            row = self._decided_row(
+                actid, key, ts, ActivationStatus.ABORTED, 137,
+                reason if errormsg is None else errormsg, workdir,
+            )
+        return self.record(JournalEventType.ABORTED, stage=stage, key=key,
+                           payload={"reason": reason}, ts=ts, activation=row)
 
     def blocked(self, stage: int, key: str, reason: str = "",
-                ts: float | None = None) -> None:
-        self.record(JournalEventType.BLOCKED, stage=stage, key=key,
-                    payload={"reason": reason}, ts=ts)
+                ts: float | None = None, *, actid: int) -> int:
+        """The item was retired before dispatch: its BLOCKED row and the
+        ``blocked`` event. Returns the row's task id."""
+        if ts is None:
+            ts = self._now()
+        row = self._decided_row(
+            actid, key, ts, ActivationStatus.BLOCKED, 0, reason
+        )
+        return self.record(JournalEventType.BLOCKED, stage=stage, key=key,
+                           payload={"reason": reason}, ts=ts, activation=row)
 
     def replayed(self, stage: int, key: str) -> None:
         self.record(JournalEventType.REPLAYED, stage=stage, key=key)
@@ -381,15 +494,17 @@ def replay_journal(store: ProvenanceStore, wkfid: int) -> JournalReplay:
     Validates that sequence numbers are strictly monotonic (an
     out-of-order or duplicated seq means two coordinators wrote the same
     run, or the log was tampered with — either way replay would be
-    unsound). Raises :class:`JournalError` for pre-journal runs.
+    unsound). Raises :class:`JournalError` for runs without a journal
+    and for a run-started header whose payload cannot be read back.
     """
     rows = store.journal_events(wkfid)
     if not rows:
         raise JournalError(
-            f"run {wkfid} has no journal (pre-journal run?); "
-            "use the analyze_run/resume_failed heuristics instead"
+            f"run {wkfid} has no run journal in this store, so it cannot "
+            "be resumed; start a fresh run instead"
         )
     replay = JournalReplay(wkfid=wkfid)
+    header_refused = False
     last_seq = -1
     for row in rows:
         seq = int(row["seq"])
@@ -409,6 +524,8 @@ def replay_journal(store: ProvenanceStore, wkfid: int) -> JournalReplay:
                 replay.pipeline = bool(payload.get("pipeline", True))
                 replay.context = dict(payload.get("context") or {})
                 replay.resumed_from = payload.get("resumed_from")
+            else:
+                header_refused = True
         elif event == JournalEventType.SCHEDULED.value:
             tup = payload.get("tup") if isinstance(payload, dict) else None
             replay.scheduled[(stage, key)] = tup
@@ -428,6 +545,13 @@ def replay_journal(store: ProvenanceStore, wkfid: int) -> JournalReplay:
         elif event == JournalEventType.RUN_FINISHED.value:
             replay.finished = True
         replay.events += 1
+    if header_refused:
+        # Resuming under a default context would silently change the
+        # grid, engine parameters or fault setup of the re-run work.
+        raise JournalError(
+            f"run {wkfid}: its run-started header could not be read back "
+            "(refused or corrupt payload); it cannot be resumed safely"
+        )
     replay.max_seq = last_seq
     return replay
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 from repro.cloud.cluster import CoreHandle, VirtualCluster
 from repro.cloud.provider import VMState
-from repro.provenance.store import ActivationStatus, ProvenanceStore
+from repro.provenance.store import ActivationStatus
 from repro.workflow.activity import Activity
 from repro.workflow.affinity import AffinityRouter, RouterError
 from repro.workflow.artifacts import drop_run_state
@@ -48,6 +48,7 @@ from repro.workflow.dispatch import (
     collect_outputs,
 )
 from repro.workflow.fault import RetryPolicy, Watchdog
+from repro.workflow.journal import RunJournal
 
 
 class ThreadedExecutionPlane(ExecutionPlane):
@@ -265,19 +266,19 @@ class SimulatedPlane(ExecutionPlane):
 
     def __init__(
         self,
-        store: ProvenanceStore,
+        journal: RunJournal,
         cluster: VirtualCluster,
         scheduler,
         *,
         retry: RetryPolicy,
         watchdog: Watchdog,
         failure_model,
-        journal,
         context: dict,
         core_limit: int | None = None,
         data_model=None,
     ) -> None:
-        self.store = store
+        #: The run's journal: the plane's only writer of activation rows.
+        self.journal = journal
         self.cluster = cluster
         self.clock = cluster.provider.clock
         self.t0 = self.clock.now
@@ -285,7 +286,6 @@ class SimulatedPlane(ExecutionPlane):
         self.retry = retry
         self.watchdog = watchdog
         self.failure_model = failure_model
-        self.journal = journal
         self.context = context
         self.core_limit = core_limit
         self.data_model = data_model
@@ -364,13 +364,10 @@ class SimulatedPlane(ExecutionPlane):
             fails = self.failure_model.fails(key, run.attempt)
             run.fate = "fail" if fails else "ok"
             run.service = cost / run.core.speed
-        self.journal.attempt_started(
-            item.key, activity.tag, run.attempt, ts=start - self.t0
-        )
-        run.tid = self.store.begin_activation(
-            run.actid, item.key, start - self.t0,
-            vm_id=run.core.vm_id, core_index=run.core.core_index,
-            attempt=run.attempt,
+        run.tid = self.journal.attempt_started(
+            item.key, activity.tag, run.attempt, actid=run.actid,
+            ts=start - self.t0, vm_id=run.core.vm_id,
+            core_index=run.core.core_index,
         )
         heapq.heappush(
             self._running, (start + run.service, next(self._seq), run)
@@ -385,13 +382,13 @@ class SimulatedPlane(ExecutionPlane):
             end = finish - self.t0
             outs: list[dict] = []
             if run.fate == "loop":
-                self.store.end_activation(
+                self.journal.attempt_ended(
                     run.tid, end, ActivationStatus.ABORTED, 137,
                     "looping state killed by watchdog",
                 )
                 run.outcome.timed_out = True
             elif run.fate == "fail":
-                self.store.end_activation(
+                self.journal.attempt_ended(
                     run.tid, end, ActivationStatus.FAILED, 1,
                     "injected failure",
                 )
@@ -402,14 +399,16 @@ class SimulatedPlane(ExecutionPlane):
                     self._launch(run, finish + delay)
                     continue
             else:
-                self.store.end_activation(run.tid, end)
+                self.journal.attempt_ended(run.tid, end)
                 if self.data_model is not None:
                     self._bytes.append(self.data_model(activity.tag, item.tup))
                 if activity.fn is not None:
                     raw = activity.run(item.tup, self.context)
                 else:
                     raw = [dict(item.tup)]
-                outs = collect_outputs(self.store, activity, raw, run.tid)
+                outs = collect_outputs(
+                    self.journal.store, activity, raw, run.tid
+                )
                 run.outcome.succeeded = True
                 run.outcome.duration = run.service
             self._busy.discard(run.core)

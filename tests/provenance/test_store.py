@@ -279,46 +279,42 @@ class TestWriteBatching:
         with pytest.raises(ValueError):
             ProvenanceStore(flush_interval=0.0)
 
-    def test_terminal_status_flushes_synchronously(self):
-        # A terminal end_activation must not wait for the batch
-        # threshold: the row is durable the moment the call returns,
-        # whatever buffer_size says (the journal's flush barrier and
-        # crash resume both lean on this).
-        from repro.provenance.store import _TERMINAL_STATUSES
+    def test_barrier_event_commits_buffered_attempt_row(self, tmp_path):
+        # One durability rule: an attempt row is buffered while it runs
+        # and when it ends, and commits with the next journal barrier
+        # event. Another connection (another process, in a real crash)
+        # sees it from then on, whatever buffer_size says.
+        import sqlite3
 
-        for status in (
-            ActivationStatus.FINISHED,
-            ActivationStatus.FAILED,
-            ActivationStatus.ABORTED,
-            ActivationStatus.BLOCKED,
-        ):
-            assert status.value in _TERMINAL_STATUSES
-            s = ProvenanceStore(buffer_size=1000, flush_interval=3600.0)
-            wkfid = s.begin_workflow("W", starttime=0.0)
-            actid = s.register_activity(wkfid, "dock")
-            tid = s.begin_activation(actid, "k", 0.0)
-            assert s._pending_count > 0
-            s.end_activation(tid, 1.0, status)
-            assert s._pending_count == 0, status
-            # Non-terminal traffic afterwards buffers as before.
-            s.begin_activation(actid, "k2", 2.0)
-            s.record_file(tid, "out.dlg", 128, "/tmp")
-            assert s._pending_count > 0
-            s.close()
-
-    def test_record_blocked_is_durable_immediately(self):
-        s = ProvenanceStore(buffer_size=1000, flush_interval=3600.0)
+        path = tmp_path / "prov.db"
+        s = ProvenanceStore(path, buffer_size=1000, flush_interval=3600.0)
         wkfid = s.begin_workflow("W", starttime=0.0)
-        actid = s.register_activity(wkfid, "prep")
-        s.record_blocked(actid, "1CS8-042", 5.0, "Hg present in receptor")
-        assert s._pending_count == 0
-        s.close()
+        actid = s.register_activity(wkfid, "dock")
+        tid = s.record_journal_event(
+            wkfid, 0, "attempt-start", 0, "k", 0.0,
+            activation={"actid": actid, "tuple_key": "k", "starttime": 0.0},
+        )
+        s.end_activation(tid, 1.0)
+        reader = sqlite3.connect(path)
+        try:
+            query = "SELECT taskid, status FROM hactivation"
+            assert reader.execute(query).fetchall() == []
+            s.record_journal_event(wkfid, 1, "completed", 0, "k", 1.0,
+                                   barrier=True)
+            assert reader.execute(query).fetchall() == [(tid, "FINISHED")]
+            events = reader.execute(
+                "SELECT event FROM hjournal ORDER BY seq"
+            ).fetchall()
+            assert events == [("attempt-start",), ("completed",)]
+        finally:
+            reader.close()
+            s.close()
 
     def test_concurrent_writers_stress(self):
         """Many threads hammering one buffered store: no lost records.
 
-        Exercises the documented locking contract: a single lock
-        serializes buffer mutations and SQLite access, so concurrent
+        Exercises the documented locking contract (buffer lock for
+        appends, connection lock for flushes and reads), so concurrent
         begin/end/extract traffic (with reads mixed in, forcing flushes
         mid-stream) must never drop or duplicate a record.
         """
@@ -357,6 +353,72 @@ class TestWriteBatching:
         s.close()
 
 
+    def test_barrier_flushes_race_appenders_without_lost_updates(self):
+        """Appenders take only the buffer lock while flushes write SQLite:
+        with a coordinator thread flushing barrier events nonstop and the
+        appenders' own size-triggered flushes racing it, no row may be
+        lost or duplicated, and no end-of-attempt UPDATE may overtake its
+        row's INSERT (which would leave it RUNNING)."""
+        import itertools
+        import sys
+        import threading
+
+        s = ProvenanceStore(buffer_size=7, flush_interval=3600.0)
+        wkfid = s.begin_workflow("W", starttime=0.0)
+        actid = s.register_activity(wkfid, "dock")
+        seqs = itertools.count()
+        n_threads, per_thread = 8, 60
+        errors = []
+        stop = threading.Event()
+
+        def attempts(worker: int) -> None:
+            try:
+                for i in range(per_thread):
+                    tid = s.record_journal_event(
+                        wkfid, next(seqs), "attempt-start",
+                        activation={
+                            "actid": actid,
+                            "tuple_key": f"w{worker}-{i}",
+                            "starttime": 0.0,
+                        },
+                    )
+                    s.end_activation(tid, 1.0)
+            except Exception as exc:  # pragma: no cover - failure detail
+                errors.append(exc)
+
+        def barriers() -> None:
+            while not stop.is_set():
+                s.record_journal_event(
+                    wkfid, next(seqs), "completed", barrier=True
+                )
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            coordinator = threading.Thread(target=barriers)
+            workers = [
+                threading.Thread(target=attempts, args=(w,))
+                for w in range(n_threads)
+            ]
+            coordinator.start()
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=60.0)
+            stop.set()
+            coordinator.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(old)
+        assert not coordinator.is_alive()
+        assert not any(t.is_alive() for t in workers)
+        assert not errors
+        total = n_threads * per_thread
+        assert s.counts_by_status(wkfid) == {"FINISHED": total}
+        rows = s.sql("SELECT COUNT(DISTINCT taskid) AS n FROM hactivation")
+        assert rows[0]["n"] == total
+        s.close()
+
+
 class TestCrashDurability:
     """SIGKILL a buffered writer mid-batch: no FINISHED row may vanish."""
 
@@ -370,6 +432,8 @@ actid = s.register_activity(wkfid, "dock")
 for i in range(20):
     tid = s.begin_activation(actid, f"k{i}", 0.0)
     s.end_activation(tid, 1.0)
+    # The run loop's terminal journal event: the durability barrier.
+    s.record_journal_event(wkfid, i, "completed", 0, f"k{i}", barrier=True)
 # Buffered post-terminal noise that never flushes before the kill.
 for i in range(5):
     s.begin_activation(actid, f"pending{i}", 0.0)
@@ -393,8 +457,8 @@ os.kill(os.getpid(), 9)
         assert proc.returncode == -9, proc.stderr.decode()
         with ProvenanceStore(db) as s:
             counts = s.counts_by_status(1)
-            # Every terminal write survived the kill; the never-flushed
-            # trailing begins are the only acceptable loss.
+            # Every row a barrier event followed survived the kill; the
+            # never-flushed trailing begins are the only acceptable loss.
             assert counts.get("FINISHED") == 20
 
 

@@ -332,14 +332,24 @@ class TestNodeLoss:
         t = threading.Thread(target=_run)
         t.start()
         try:
-            # Kill the victim once the run is demonstrably in flight.
+            # Kill the victim only while it holds an attempt, so its
+            # loss must cost an infrastructure retry.
+            director = engine._director
+
+            def victim_busy() -> bool:
+                with director._lock:
+                    return any(
+                        node.node_id == "victim" and node.inflight
+                        for node in director._nodes.values()
+                    )
+
             deadline = time.monotonic() + 30.0
             while time.monotonic() < deadline:
-                if sum(engine._director.tuples_per_node.values()) >= 2:
+                if victim_busy():
                     break
-                time.sleep(0.05)
+                time.sleep(0.01)
             else:
-                pytest.fail("run never got in flight")
+                pytest.fail("victim never held an in-flight attempt")
             victim.send_signal(signal.SIGKILL)
             t.join(timeout=120.0)
             assert not t.is_alive(), "run hung after node loss"

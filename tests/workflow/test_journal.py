@@ -62,11 +62,13 @@ class TestRunJournalWriter:
     def test_seq_strictly_monotonic(self):
         store = ProvenanceStore()
         wkfid = store.begin_workflow("W", starttime=0.0)
+        actid = store.register_activity(wkfid, "stage1")
         j = RunJournal(store, wkfid)
         j.run_started("W", pipeline=True, context=None, relation_size=2)
         j.scheduled(0, "a", {"key": "a"}, None)
         j.dispatched(0, "a")
-        j.attempt_started("a", "stage1", 0)
+        tid = j.attempt_started("a", "stage1", 0, actid=actid)
+        j.attempt_ended(tid, 1.0)
         j.completed(0, "a", [{"key": "a"}])
         j.run_finished()
         rows = store.journal_events(wkfid)
@@ -327,3 +329,100 @@ class TestSimulatedEngineJournal:
         # Journal timestamps are virtual seconds since the run started.
         rows = store.journal_events(report.wkfid)
         assert rows[-1]["ts"] == pytest.approx(report.tet_seconds)
+
+
+def _global_call(module: str, name: str, arg: str) -> bytes:
+    """A protocol-4 pickle that calls ``module.name(arg)`` when loaded."""
+
+    def short(text: str) -> bytes:
+        raw = text.encode()
+        return b"\x8c" + bytes([len(raw)]) + raw
+
+    return (
+        b"\x80\x04" + short(module) + short(name) + b"\x93"
+        + short(arg) + b"\x85R."
+    )
+
+
+class TestPayloadsFailClosed:
+    """Resume trusts the journal alone, so its payloads are decoded with
+    a restricted unpickler: builtin containers and scalars, plus
+    ``repro.`` classes — never a function or a foreign class."""
+
+    def test_reduce_to_os_system_is_refused_and_never_runs(self, tmp_path):
+        import os
+        import pickle
+
+        from repro.workflow.journal import decode_payload
+
+        marker = tmp_path / "ran"
+
+        class Evil:
+            def __reduce__(self):
+                return (os.system, (f"touch {marker}",))
+
+        blob = pickle.dumps(Evil(), protocol=pickle.HIGHEST_PROTOCOL)
+        assert decode_payload(blob) is None
+        assert not marker.exists()
+        # The same call spelled as a raw global is refused too.
+        raw = _global_call("os", "system", f"touch {marker}")
+        assert decode_payload(raw) is None
+        assert not marker.exists()
+
+    def test_foreign_objects_reached_through_repro_are_refused(self):
+        from repro.workflow.journal import decode_payload
+
+        # A function, and a class defined outside repro, both reachable
+        # as attributes of a repro module.
+        assert decode_payload(
+            _global_call("repro.workflow.journal", "pickle.loads", "x")
+        ) is None
+        assert decode_payload(
+            _global_call("repro.workflow.journal", "io.StringIO", "x")
+        ) is None
+
+    def test_builtins_and_repro_classes_round_trip(self):
+        from repro.cloud.failures import ActivityFailureModel
+        from repro.workflow.journal import decode_payload, encode_payload
+
+        payload = {
+            "tup": {"key": "a", "n": 3, "x": 1.5, "z": 1 + 2j, "b": b"\x00"},
+            "sets": (frozenset({1}), {2, 3}),
+            "model": ActivityFailureModel(rate=0.25, seed=7),
+            "status": JournalEventType.COMPLETED,
+        }
+        back = decode_payload(encode_payload(payload))
+        assert back["tup"] == payload["tup"]
+        assert back["sets"] == payload["sets"]
+        assert back["model"].rate == 0.25 and back["model"].seed == 7
+        assert back["status"] is JournalEventType.COMPLETED
+
+    def test_refused_item_payload_degrades_to_reexecution(self):
+        store = ProvenanceStore()
+        wkfid = store.begin_workflow("W", starttime=0.0)
+        j = RunJournal(store, wkfid)
+        j.run_started("W", pipeline=True, context=None, relation_size=1)
+        store.record_journal_event(
+            wkfid, 1, "completed", 0, "a",
+            payload=_global_call("os", "getenv", "HOME"),
+        )
+        replay = replay_journal(store, wkfid)
+        assert (0, "a") in replay.terminal
+        assert replay.outputs_for(0, "a") is None
+
+    def test_refused_run_started_header_blocks_resume(self):
+        store = ProvenanceStore()
+        engine = LocalEngine(store, workers=1, retry=FAST)
+        r1 = engine.run(two_stage(fail_keys=("b",)), rel("a", "b"))
+        store.sql(
+            "UPDATE hjournal SET payload = ? WHERE wkfid = ? AND event = ?",
+            (_global_call("os", "getenv", "HOME"), r1.wkfid, "run-started"),
+        )
+        with pytest.raises(JournalError, match="run-started header"):
+            replay_journal(store, r1.wkfid)
+        runs_before = store.sql("SELECT COUNT(*) AS n FROM hworkflow")[0]["n"]
+        with pytest.raises(JournalError, match="run-started header"):
+            engine.resume(r1.wkfid, two_stage())
+        # Nothing ran under a default context.
+        runs_after = store.sql("SELECT COUNT(*) AS n FROM hworkflow")[0]["n"]
+        assert runs_after == runs_before

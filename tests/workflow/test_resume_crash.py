@@ -8,8 +8,14 @@ the whole child process group, reopens the store, and asserts that
 ``LocalEngine.resume`` finishes the run with **zero re-execution of any
 tuple the crashed run durably completed** and strictly monotonic journal
 sequence numbers in both runs.
+
+Killing the whole group also kills the child's multiprocessing resource
+tracker, so the named POSIX semaphores of its process pools are never
+unlinked; the test unlinks the ones the group created and checks that
+it leaves none behind.
 """
 
+import glob
 import importlib.util
 import os
 import signal
@@ -33,6 +39,22 @@ _spec.loader.exec_module(child)
 
 #: Final-stage index of the child's two-activity workflow.
 LAST_STAGE = 1
+
+#: Where Linux keeps multiprocessing's named semaphores.
+SEMAPHORES = "/dev/shm/sem.mp-*"
+
+
+def _semaphores() -> set[str]:
+    return set(glob.glob(SEMAPHORES))
+
+
+def _unlink_new_semaphores(before: set[str]) -> None:
+    """Unlink the named semaphores created since ``before`` was taken."""
+    for path in _semaphores() - before:
+        try:
+            os.unlink(path)
+        except FileNotFoundError:
+            pass
 
 
 def _completed_last_stage(db: Path) -> int:
@@ -78,6 +100,7 @@ def test_sigkill_coordinator_then_resume_with_zero_recomputation(tmp_path):
     gate.write_text("hold")
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    semaphores_before = _semaphores()
     proc = subprocess.Popen(
         [sys.executable, str(CHILD), str(db), str(gate)],
         env=env,
@@ -95,6 +118,7 @@ def test_sigkill_coordinator_then_resume_with_zero_recomputation(tmp_path):
         if proc.poll() is None:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.wait(timeout=10.0)
+        _unlink_new_semaphores(semaphores_before)
     gate.unlink()
 
     with ProvenanceStore(db) as store:
@@ -136,3 +160,5 @@ def test_sigkill_coordinator_then_resume_with_zero_recomputation(tmp_path):
             seqs = [r["seq"] for r in store.journal_events(run)]
             assert all(b > a for a, b in zip(seqs, seqs[1:]))
         assert replay_journal(store, report.wkfid).resumed_from == wkfid
+    # No named semaphore of the killed group outlives the test.
+    assert not _semaphores() - semaphores_before

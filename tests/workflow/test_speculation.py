@@ -2,9 +2,9 @@
 
 Covers the ISSUE-6 acceptance points on the real engine: winner/loser
 provenance records, loser cancellation on both backends, no speculation
-on a cold distribution, determinism with the quantile at 1.0, recovery
-analysis ignoring speculation rows, and the adaptive policy actually
-resizing the live pool mid-run.
+on a cold distribution, determinism with the quantile at 1.0, a resume
+replaying a speculation-won run without executing anything, and the
+adaptive policy actually resizing the live pool mid-run.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from repro.workflow import (
     Workflow,
 )
 from repro.workflow.adaptive import AdaptiveElasticityPolicy
-from repro.workflow.reexec import analyze_run
 
 _LOCK = threading.Lock()
 _CALLS: dict[str, int] = {}
@@ -154,11 +153,16 @@ class TestSpeculationThreads:
         report = engine.run(workflow, relation)
         assert report.speculative_won == 1
 
-        plan = analyze_run(store, report.wkfid, workflow, relation)
+        _reset_calls()
+        resumed = engine.resume(report.wkfid, workflow)
         # The superseded primary's ABORTED row and the winning duplicate
-        # must not read as work lost.
-        assert plan.keys_to_rerun == set()
-        assert plan.completed_keys == {f"k{i}" for i in range(6)}
+        # must not read as work lost: every tuple replays, none executes.
+        assert resumed.replayed == 6
+        assert _CALLS == {}
+        assert store.counts_by_status(resumed.wkfid) == {}
+        assert sorted(t["key"] for t in resumed.output) == [
+            f"k{i}" for i in range(6)
+        ]
 
 
 class TestSpeculationProcesses:
