@@ -310,6 +310,38 @@ class TestWriteBatching:
             reader.close()
             s.close()
 
+    def test_blocked_event_commits_its_blocked_row(self, tmp_path):
+        # An item retired before dispatch writes its BLOCKED row with
+        # the journal's ``blocked`` barrier event: both are durable the
+        # moment the call returns, whatever buffer_size says.
+        import sqlite3
+
+        from repro.workflow.journal import RunJournal
+
+        path = tmp_path / "prov.db"
+        s = ProvenanceStore(path, buffer_size=1000, flush_interval=3600.0)
+        wkfid = s.begin_workflow("W", starttime=0.0)
+        actid = s.register_activity(wkfid, "prep")
+        journal = RunJournal(s, wkfid, clock=lambda: 5.0)
+        tid = journal.blocked(0, "1CS8-042", "Hg present in receptor",
+                              actid=actid)
+        assert s._pending_count == 0
+        reader = sqlite3.connect(path)
+        try:
+            rows = reader.execute(
+                "SELECT taskid, tuple_key, status, errormsg FROM hactivation"
+            ).fetchall()
+            assert rows == [
+                (tid, "1CS8-042", "BLOCKED", "Hg present in receptor")
+            ]
+            events = reader.execute(
+                "SELECT event, tuple_key FROM hjournal"
+            ).fetchall()
+            assert events == [("blocked", "1CS8-042")]
+        finally:
+            reader.close()
+            s.close()
+
     def test_concurrent_writers_stress(self):
         """Many threads hammering one buffered store: no lost records.
 

@@ -111,6 +111,19 @@ class TestResumeCases:
         assert executed(store, r2.wkfid) == []
         assert sorted(t["key"] for t in r2.output) == ["a", "b", "c"]
 
+    def test_clean_run_journal_leaves_nothing_to_rerun(self):
+        # The journal of a clean run is the resume plan: every scheduled
+        # item ended completed, with its outputs logged.
+        store = ProvenanceStore()
+        r1 = LocalEngine(store, workers=1).run(two_stage_workflow(), REL.copy())
+        replay = replay_journal(store, r1.wkfid)
+        assert replay.finished
+        assert sorted(replay.seed_keys) == ["a", "b", "c"]
+        assert set(replay.terminal) == set(replay.scheduled)
+        assert set(replay.terminal.values()) == {"completed"}
+        assert set(replay.completed) == set(replay.scheduled)
+        assert len(replay.scheduled) == 6
+
     def test_retry_success_replays(self):
         # A transient failure that a retry healed leaves a completed
         # item: the resume has nothing to re-run.
