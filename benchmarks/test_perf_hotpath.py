@@ -460,8 +460,9 @@ def test_search_overhead():
     is per-call numpy overhead in posing and the grid gather, not
     arithmetic. The same genotype pairs are posed and scored through
     the original per-call kernels (``tests/docking/search_oracle.py``)
-    and through the compiled torsion plan and shared stack gather; the
-    energies must be identical before anything is timed.
+    and through the compiled torsion plan and the gather that reads the
+    maps in place; the energies must be identical before anything is
+    timed.
     """
     from repro.docking import scoring_ad4
     from repro.docking.autogrid import AutoGrid
@@ -471,12 +472,7 @@ def test_search_overhead():
     rec_prep, lig, box = _kernel_fixture()
     maps = AutoGrid().run(rec_prep.molecule, box, lig.atom_types)
     current = scoring_ad4.AD4Scorer(maps, lig.molecule)
-    gather = scoring_ad4.StackGather
-    scoring_ad4.StackGather = oracle.OracleStackGather
-    try:
-        original = scoring_ad4.AD4Scorer(maps, lig.molecule)
-    finally:
-        scoring_ad4.StackGather = gather
+    original = oracle.OracleAD4Scorer(maps, lig.molecule)
     tree = lig.tree
 
     n_steps = 50 if SMOKE else 400
@@ -526,6 +522,109 @@ def test_search_overhead():
     )
     if not SMOKE:
         assert speedup > 1.0, f"current search path only {speedup:.2f}x"
+
+
+def test_scorer_setup():
+    """Per-dock scorer setup and per-evaluation cost on a campaign grid.
+
+    Every dock builds a fresh ``AD4Scorer``/``VinaScorer``. They read
+    the receptor's maps in place, so setup is O(ligand); the oracle
+    scorers in ``tests/docking/search_oracle.py`` first copy per-atom
+    map stacks (two full grids per AD4 atom, one per Vina atom), the
+    setup every dock used to pay, and are timed next to them. The
+    evaluation cost is the entry point the searches call (AD4
+    ``docking_energy_batch``, Vina ``search_energy_batch``) at P = 2 (a
+    Solis-Wets pair), 16 and 150 (a GA population), per pose; energies
+    must equal the oracle's before anything is timed. The grid is the
+    campaigns' (0.6 A spacing, 31^3 points) on 2P7U with ligand 424.
+    """
+    from repro.chem.generate import generate_ligand, generate_receptor
+    from repro.core.activities import STANDARD_MAP_TYPES
+    from repro.docking.autogrid import AutoGrid
+    from repro.docking.box import GridBox
+    from repro.docking.conformation import Conformation
+    from repro.docking.prepare import prepare_ligand, prepare_receptor
+    from repro.docking.scoring_ad4 import AD4Scorer
+    from repro.docking.scoring_vina import VinaScorer, build_vina_maps
+    from tests.docking import search_oracle as oracle
+
+    receptor = generate_receptor("2P7U")
+    rec = prepare_receptor(receptor).molecule
+    box = GridBox.around_pocket(
+        np.array(receptor.metadata["pocket_center"]),
+        receptor.metadata["pocket_radius"],
+        spacing=0.6,
+    )
+    lig = prepare_ligand(generate_ligand("424"))
+    maps = AutoGrid().run(rec, box, STANDARD_MAP_TYPES)
+    vmaps = build_vina_maps(rec, box)
+    builders = {
+        "ad4": (
+            lambda: AD4Scorer(maps, lig.molecule),
+            lambda: oracle.OracleAD4Scorer(maps, lig.molecule),
+            "docking_energy_batch",
+        ),
+        "vina": (
+            lambda: VinaScorer(rec, lig.molecule, box, maps=vmaps),
+            lambda: oracle.OracleVinaScorer(rec, lig.molecule, box, maps=vmaps),
+            "search_energy_batch",
+        ),
+    }
+    tree = lig.tree
+    rng = np.random.default_rng(0)
+    batches = {}
+    for P in (2, 16, 150):
+        g = np.stack([
+            Conformation.random(tree.n_torsions, rng, center=box.center).vector
+            for _ in range(P)
+        ])
+        batches[P] = tree.pose_batch(g[:, :3], g[:, 3:7], g[:, 7:])
+    setups = 5 if SMOKE else 50
+    poses = 300 if SMOKE else 6000
+    payload = {
+        "grid_points": int(np.prod(box.shape)),
+        "ligand_atoms": len(lig.molecule.atoms),
+        "asserted": not SMOKE,
+    }
+    for name, (build, build_stacked, entry) in builders.items():
+        current, stacked = build(), build_stacked()
+        for coords in batches.values():  # parity before timing
+            assert np.array_equal(
+                getattr(current, entry)(coords), getattr(stacked, entry)(coords)
+            )
+        setup_s = _best_of(lambda: [build() for _ in range(setups)])
+        stacked_s = _best_of(lambda: [build_stacked() for _ in range(setups)])
+        row = {
+            "setup_us": round(setup_s / setups * 1e6, 1),
+            "stacked_setup_us": round(stacked_s / setups * 1e6, 1),
+            "setup_peak_mib": _traced_peak_mib(build),
+            "stacked_setup_peak_mib": _traced_peak_mib(build_stacked),
+        }
+        evaluate = getattr(current, entry)
+        for P, coords in batches.items():
+            calls = max(1, poses // P)
+            best = _best_of(lambda: [evaluate(coords) for _ in range(calls)], 5)
+            row[f"eval_us_per_pose_p{P}"] = round(best / (calls * P) * 1e6, 2)
+        payload[name] = row
+    if SMOKE:
+        payload["skipped_reason"] = "REPRO_BENCH_SMOKE=1"
+    _record("scorer_setup", payload)
+    for name in builders:
+        row = payload[name]
+        print(
+            f"\n{name} scorer setup ({payload['grid_points']} points, "
+            f"{payload['ligand_atoms']} atoms): {row['setup_us']} us "
+            f"({row['setup_peak_mib']} MiB peak), per-atom stacks "
+            f"{row['stacked_setup_us']} us ({row['stacked_setup_peak_mib']} "
+            f"MiB); per pose {row['eval_us_per_pose_p2']} / "
+            f"{row['eval_us_per_pose_p16']} / {row['eval_us_per_pose_p150']} us "
+            "at P = 2 / 16 / 150"
+        )
+    if not SMOKE:
+        for name in builders:
+            row = payload[name]
+            assert row["setup_us"] < row["stacked_setup_us"], name
+            assert row["setup_peak_mib"] < 1.0, name
 
 
 def test_search_batching(monkeypatch):

@@ -43,6 +43,7 @@ from repro.chem.generate import (
 from repro.chem.geometry import rmsd
 from repro.docking.autodock import AutoDock4
 from repro.docking.autogrid import (
+    MAP_LAYOUT,
     AutoGrid,
     grid_maps_from_arrays,
     grid_maps_to_arrays,
@@ -171,15 +172,18 @@ def _bundle_key(pdbqt: str, box: GridBox, terms: tuple[str, ...], version: str) 
     """Content address of a map bundle.
 
     Hashes the prepared receptor text (coordinates, types, charges), the
-    exact grid geometry, the map-type/probe-class roster, and the
-    force-field fingerprint — any input that changes the numbers in the
-    maps changes the key.
+    exact grid geometry, the map-type/probe-class roster, the
+    force-field fingerprint and the array layout — any input that
+    changes the numbers in the maps or where they sit changes the key,
+    so a bundle of another layout (an old cache file, an old exchange
+    blob) is rebuilt, never misread.
     """
     h = hashlib.sha256()
     h.update(pdbqt.encode())
     h.update(json.dumps(box.to_dict(), sort_keys=True).encode())
     h.update("|".join(terms).encode())
     h.update(version.encode())
+    h.update(MAP_LAYOUT.encode())
     return h.hexdigest()[:32]
 
 

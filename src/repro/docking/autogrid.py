@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -34,22 +35,48 @@ class GridError(ValueError):
     """Raised for invalid grid-generation requests."""
 
 
+#: Layout of the one array that holds a receptor's maps: ``(points, K)``
+#: float64, point-major (the K map values of one grid point adjacent),
+#: points in z-fastest flat order ``(ix * ny + iy) * nz + iz``. Every map
+#: bundle key hashes it, so a bundle written in another layout is
+#: rebuilt, never read as this one.
+MAP_LAYOUT = "planes/point-major/v1"
+
+
 @dataclass
 class GridMaps:
     """The artifact bundle AutoGrid produces.
 
-    ``affinity[t]`` is the per-type map with shape ``box.shape``;
-    ``electrostatic`` holds the potential per unit charge; ``desolvation``
-    the charge-independent desolvation field. ``log`` mirrors the ``.glg``
-    run log.
+    ``planes`` is the one ``(points, K)`` array (see :data:`MAP_LAYOUT`)
+    holding every map: column ``k`` is the affinity map of
+    ``map_types[k]``, then come the electrostatic and the desolvation
+    map. ``affinity[t]``, ``electrostatic`` and ``desolvation`` are
+    views of it with shape ``box.shape``: ``electrostatic`` holds the
+    potential per unit charge, ``desolvation`` the charge-independent
+    desolvation field. ``log`` mirrors the ``.glg`` run log.
     """
 
     box: GridBox
-    affinity: dict[str, np.ndarray]
-    electrostatic: np.ndarray
-    desolvation: np.ndarray
+    planes: np.ndarray
+    map_types: tuple[str, ...]
     receptor_name: str = ""
     log: str = ""
+    affinity: dict[str, np.ndarray] = field(init=False, repr=False)
+    electrostatic: np.ndarray = field(init=False, repr=False)
+    desolvation: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.map_types = tuple(self.map_types)
+        n_maps = len(self.map_types) + 2
+        expected = (int(np.prod(self.box.shape)), n_maps)
+        if self.planes.shape != expected:
+            raise GridError(
+                f"expected planes of shape {expected}, got {self.planes.shape}"
+            )
+        grids = self.planes.reshape(*self.box.shape, n_maps)
+        self.affinity = {t: grids[..., k] for k, t in enumerate(self.map_types)}
+        self.electrostatic = grids[..., n_maps - 2]
+        self.desolvation = grids[..., n_maps - 1]
 
     @property
     def atom_types(self) -> tuple[str, ...]:
@@ -130,55 +157,86 @@ def trilinear(grid: np.ndarray, box: GridBox, coords: np.ndarray) -> np.ndarray:
 
 
 class StackGather:
-    """Trilinear gather over per-atom map stacks, summed over atoms.
+    """Trilinear gather of per-atom map columns, summed over atoms.
 
-    The scorers' grid term: ``stacks`` is ``(S, n_atoms, *box.shape)``,
-    ``S`` stacks of one map per ligand atom over one box, and a call
-    maps a ``(P, n_atoms, 3)`` pose batch to the ``(S, P)`` per-stack
-    sums. The fractional index, the trilinear weights and the flat
-    offsets of the eight corners are computed once per batch and shared
-    by every stack; the values come from one ``take`` on the raveled
-    stacks. Box origin, spacing and clip bound are fixed at
-    construction.
+    The scorers' grid term, read in place from a receptor's maps:
+    ``planes`` is the ``(points, K)`` map array (:data:`MAP_LAYOUT`) and
+    ``columns`` is ``(C, n_atoms)``, the column each ligand atom reads
+    in each of ``C`` gathers. A call maps a ``(P, n_atoms, 3)`` pose
+    batch to the ``(S, P)`` per-stack sums. The eight corner values of
+    every atom's ``C`` columns come from one ``take`` on the raveled
+    planes; ``combine``, when given, turns those ``(C, 8, P, n_atoms)``
+    corner values into the corner values of ``S`` per-atom maps
+    (overwriting its input), otherwise ``S = C``. The fractional index,
+    the trilinear weights and the flat offsets of the eight corners are
+    computed once per batch and shared by every stack. Box origin,
+    spacing and clip bound are fixed at construction.
 
     Per element the arithmetic and its order are those of a per-corner
-    fancy-indexing gather run stack by stack (x, then y, then z blends;
-    each stack's sum runs over C-ordered rows of ``n_atoms`` values), so
-    results are bit-identical to it (``tests/docking/search_oracle.py``)
-    and independent of the batch size.
+    fancy-indexing gather from per-atom map stacks, run stack by stack
+    (x, then y, then z blends; each stack's sum runs over C-ordered rows
+    of ``n_atoms`` values). When ``combine`` computes each corner value
+    the way such a stack stored it, results are bit-identical to that
+    gather (``tests/docking/search_oracle.py``) and independent of the
+    batch size.
     """
 
-    def __init__(self, box: GridBox, stacks: np.ndarray) -> None:
-        if stacks.ndim != 5 or stacks.shape[2:] != box.shape:
+    def __init__(
+        self,
+        box: GridBox,
+        planes: np.ndarray,
+        columns: np.ndarray,
+        combine: Callable[[np.ndarray], np.ndarray] | None = None,
+    ) -> None:
+        n_points = int(np.prod(box.shape))
+        if planes.ndim != 2 or planes.shape[0] != n_points:
             raise GridError(
-                f"expected stacks of shape (S, n_atoms, *{box.shape}), "
-                f"got {stacks.shape}"
+                f"expected planes of shape ({n_points}, K), got {planes.shape}"
             )
-        n_stacks, n_atoms, nx, ny, nz = stacks.shape
-        self._flat = np.ascontiguousarray(stacks).reshape(-1)
+        if not planes.flags.c_contiguous:
+            raise GridError("map planes must be C-contiguous (read in place)")
+        columns = np.asarray(columns, dtype=np.intp)
+        n_maps = planes.shape[1]
+        if columns.ndim != 2 or columns.size and not (
+            0 <= columns.min() and columns.max() < n_maps
+        ):
+            raise GridError(
+                f"expected (C, n_atoms) columns in [0, {n_maps}), got "
+                f"{columns.shape} from {columns.min(initial=0)} to "
+                f"{columns.max(initial=0)}"
+            )
+        _, ny, nz = box.shape
+        self._flat = planes.reshape(-1)
+        self._combine = combine
         self._minimum = box.minimum
         self._spacing = box.spacing
         self._upper = np.array(box.shape) - 1.000001
-        self._strides = np.array([ny * nz, nz, 1])
+        self._strides = np.array([ny * nz, nz, 1]) * n_maps
         # Corner c = 4 dx + 2 dz + dy, so the x blend pairs the two
-        # halves, the y blend pairs neighbours and the z blend comes last.
+        # halves, the y blend pairs neighbours and the z blend comes
+        # last. Corners lead the atoms so every blend runs over whole
+        # (P, n_atoms) blocks.
         dx, dz, dy = np.indices((2, 2, 2)).reshape(3, 8)
-        corners = dx * ny * nz + dy * nz + dz
-        maps = np.arange(n_stacks * n_atoms).reshape(n_stacks, 1, n_atoms, 1)
-        self._offsets = maps * (nx * ny * nz) + corners  # (S, 1, n_atoms, 8)
+        corners = (dx * ny * nz + dy * nz + dz) * n_maps
+        # (C, 8, 1, n_atoms)
+        self._offsets = corners[:, None, None] + columns[:, None, None, :]
 
     def __call__(self, coords: np.ndarray) -> np.ndarray:
         """``(P, n_atoms, 3)`` coordinates -> ``(S, P)`` summed values."""
-        f = (coords - self._minimum) / self._spacing
-        f = np.clip(f, 0.0, self._upper)
+        f = coords - self._minimum
+        f /= self._spacing
+        # np.clip's result, without its per-call overhead.
+        np.maximum(f, 0.0, out=f)
+        np.minimum(f, self._upper, out=f)
         i0 = f.astype(np.intp)
         t = f - i0
         s = 1 - t
-        base = (i0 @ self._strides)[None, :, :, None]
-        v = self._flat.take(base + self._offsets)  # (S, P, n_atoms, 8)
-        cx = v[..., :4] * s[..., 0, None] + v[..., 4:] * t[..., 0, None]
-        cy = cx[..., ::2] * s[..., 1, None] + cx[..., 1::2] * t[..., 1, None]
-        return (cy[..., 0] * s[..., 2] + cy[..., 1] * t[..., 2]).sum(axis=-1)
+        v = self._flat.take(i0 @ self._strides + self._offsets)
+        if self._combine is not None:
+            v = self._combine(v)  # (S, 8, P, n_atoms)
+        cx = v[:, :4] * s[..., 0] + v[:, 4:] * t[..., 0]
+        cy = cx[:, ::2] * s[..., 1] + cx[:, 1::2] * t[..., 1]
+        return (cy[:, 0] * s[..., 2] + cy[:, 1] * t[..., 2]).sum(axis=-1)
 
 
 class AutoGrid:
@@ -239,9 +297,12 @@ class AutoGrid:
         rec_coords, rec_types, rec_charges = self._relevant_atoms(receptor, box)
         N = rec_coords.shape[0]
 
-        affinity = {t: np.zeros(P) for t in dict.fromkeys(ligand_types)}
-        electro = np.zeros(P)
-        desolv = np.zeros(P)
+        # Every map is a column of one (points, K) array: the affinity
+        # maps in request order, then e, then d.
+        map_types = tuple(dict.fromkeys(ligand_types))
+        column = {lt: k for k, lt in enumerate(map_types)}
+        k_elec, k_desolv = len(map_types), len(map_types) + 1
+        planes = np.zeros((P, len(map_types) + 2))
 
         # Group receptor atoms by AutoDock type: pair parameters are then
         # constant per (ligand type, group), so the whole group broadcasts
@@ -250,24 +311,23 @@ class AutoGrid:
         rec_types_arr = np.array(rec_types)
         for rt in dict.fromkeys(rec_types):
             by_type[rt] = np.nonzero(rec_types_arr == rt)[0]
-        lig_solv = {lt: ff.solvation_parameter(lt) for lt in affinity}
+        lig_solv = {lt: ff.solvation_parameter(lt) for lt in map_types}
 
         for rt, group_idx in by_type.items():
             rt_vol = ff.AUTODOCK_TYPES[rt].vol
             # The vdW row is shared by every ligand type with the same
             # pair parameters (C and A).
             by_params: dict[ff.PairParams, list[str]] = {}
-            for lt in affinity:
+            for lt in map_types:
                 by_params.setdefault(ff.pair_params(lt, rt), []).append(lt)
             for start in range(0, len(group_idx), self.chunk_atoms):
                 sel = group_idx[start : start + self.chunk_atoms]
                 sel_charges = rec_charges[sel]
-                # Per-chunk sums, added to in stream (ascending atom)
-                # order and then to the maps: the association of the
-                # dense oracle's one bincount per chunk.
-                chunk_electro = np.zeros(P)
-                chunk_desolv = np.zeros(P)
-                chunk_affinity = {lt: np.zeros(P) for lt in affinity}
+                # Per-chunk sums, one row per map, added to in stream
+                # (ascending atom) order and then to the maps: the
+                # association of the dense oracle's one bincount per
+                # chunk.
+                chunk = np.zeros((planes.shape[1], P))
                 # In-cutoff (point, atom) pairs only, one cache-sized
                 # block at a time, every term evaluated on the block.
                 for pi, ci, r in lattice_blocks(box, rec_coords[sel], self.cutoff):
@@ -281,14 +341,14 @@ class AutoGrid:
                         -ff.ESTAT_CLAMP,
                         ff.ESTAT_CLAMP,
                     )
-                    np.add.at(chunk_electro, pi, e_pair)
+                    np.add.at(chunk[k_elec], pi, e_pair)
                     # Desolvation envelope weighted by receptor atom
                     # volume; the scorer multiplies by |q_ligand|, so the
                     # charge-based solvation parameter and the FE weight
                     # live in the map.
                     envelope = ff.desolvation_envelope(rv)
                     np.add.at(
-                        chunk_desolv,
+                        chunk[k_desolv],
                         pi,
                         ff.FE_COEFF_DESOLV * envelope * rt_vol * 0.01097,
                     )
@@ -303,25 +363,19 @@ class AutoGrid:
                             e = vdw + ff.FE_COEFF_DESOLV * ff.pair_desolvation(
                                 lt, rt, lig_solv[lt], rec_solv, envelope
                             )
-                            np.add.at(chunk_affinity[lt], pi, e)
+                            np.add.at(chunk[column[lt]], pi, e)
                 # A chunk without pairs adds +0.0, which changes no sum
                 # that started at +0.0.
-                electro += chunk_electro
-                desolv += chunk_desolv
-                for lt, grid in affinity.items():
-                    grid += chunk_affinity[lt]
+                planes += chunk.T
 
-        return self._package(
-            box, receptor, affinity, electro, desolv, N, started
-        )
+        return self._package(box, receptor, map_types, planes, N, started)
 
     def _package(
         self,
         box: GridBox,
         receptor: Molecule,
-        affinity: dict[str, np.ndarray],
-        electro: np.ndarray,
-        desolv: np.ndarray,
+        map_types: tuple[str, ...],
+        planes: np.ndarray,
         n_atoms: int,
         started: float,
     ) -> GridMaps:
@@ -334,15 +388,14 @@ class AutoGrid:
                 f"receptor: {receptor.name} ({n_atoms} atoms within cutoff)",
                 f"grid: {shape[0]}x{shape[1]}x{shape[2]} points, "
                 f"spacing {box.spacing:.3f} A",
-                f"maps: {', '.join(sorted(affinity))} + e + d",
+                f"maps: {', '.join(sorted(map_types))} + e + d",
                 f"elapsed: {elapsed:.3f} s",
             ]
         )
         return GridMaps(
             box=box,
-            affinity={t: g.reshape(shape) for t, g in affinity.items()},
-            electrostatic=electro.reshape(shape),
-            desolvation=desolv.reshape(shape),
+            planes=planes,
+            map_types=map_types,
             receptor_name=receptor.name,
             log=log,
         )
@@ -351,31 +404,37 @@ class AutoGrid:
 def grid_maps_to_arrays(maps: GridMaps) -> tuple[dict, dict[str, np.ndarray]]:
     """Flatten a :class:`GridMaps` into a (meta, named-arrays) bundle.
 
-    The artifact plane ships bundles of this shape through shared memory
-    and the on-disk cache; :func:`grid_maps_from_arrays` restores the
-    dataclass (the run log is not carried — it documents the build, not
-    the artifact).
+    The bundle carries the one ``planes`` array as it is, so the
+    artifact plane ships it through shared memory, the on-disk cache
+    and the exchange without a second copy; :func:`grid_maps_from_arrays`
+    restores the dataclass (the run log is not carried — it documents
+    the build, not the artifact).
     """
     meta = {
+        "layout": MAP_LAYOUT,
         "box": maps.box.to_dict(),
         "receptor_name": maps.receptor_name,
-        "atom_types": list(maps.atom_types),
+        "map_types": list(maps.map_types),
     }
-    arrays: dict[str, np.ndarray] = {
-        f"affinity/{t}": maps.affinity[t] for t in maps.atom_types
-    }
-    arrays["electrostatic"] = maps.electrostatic
-    arrays["desolvation"] = maps.desolvation
-    return meta, arrays
+    return meta, {"planes": maps.planes}
+
+
+def check_layout(meta: dict) -> None:
+    """Refuse a map bundle written in another layout than :data:`MAP_LAYOUT`."""
+    if meta.get("layout") != MAP_LAYOUT:
+        raise GridError(
+            f"map bundle layout {meta.get('layout')!r} is not {MAP_LAYOUT!r}; "
+            "rebuild the maps"
+        )
 
 
 def grid_maps_from_arrays(meta: dict, arrays: dict[str, np.ndarray]) -> GridMaps:
-    """Rebuild a :class:`GridMaps` from a plane bundle (views kept as-is)."""
+    """Rebuild a :class:`GridMaps` from a plane bundle (the array kept as-is)."""
+    check_layout(meta)
     return GridMaps(
         box=GridBox.from_dict(meta["box"]),
-        affinity={t: arrays[f"affinity/{t}"] for t in meta["atom_types"]},
-        electrostatic=arrays["electrostatic"],
-        desolvation=arrays["desolvation"],
+        planes=arrays["planes"],
+        map_types=tuple(meta["map_types"]),
         receptor_name=meta.get("receptor_name", ""),
         log="",
     )
@@ -398,8 +457,7 @@ def write_map_file(maps: GridMaps, map_name: str) -> str:
         f"NELEMENTS {box.npts[0]} {box.npts[1]} {box.npts[2]}",
         f"CENTER {box.center[0]:.3f} {box.center[1]:.3f} {box.center[2]:.3f}",
     ]
-    # AutoGrid writes z-fastest? Historically x fastest; keep x-fastest
-    # ordering consistent with GridBox.points().
+    # z-fastest, the flat order of GridBox.points() and of the planes.
     values = [f"{v:.3f}" for v in grid.ravel()]
     return "\n".join(header + values) + "\n"
 

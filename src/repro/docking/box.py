@@ -58,7 +58,11 @@ class GridBox:
         )
 
     def points(self) -> np.ndarray:
-        """All grid points as an (P, 3) array in x-fastest order."""
+        """All grid points as a (P, 3) array in z-fastest order.
+
+        Point ``(ix, iy, iz)`` is row ``(ix * ny + iy) * nz + iz``, the
+        flat order of the map planes and of ``.map`` files.
+        """
         ax, ay, az = self.axes()
         X, Y, Z = np.meshgrid(ax, ay, az, indexing="ij")
         return np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)

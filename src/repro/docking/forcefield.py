@@ -10,7 +10,7 @@ type registry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -55,9 +55,9 @@ class PairParams:
     n: int
     is_hbond: bool
 
-    @property
+    @cached_property
     def req(self) -> float:
-        """Equilibrium (minimum-energy) separation in Angstrom."""
+        """Equilibrium (minimum-energy) separation in Angstrom (computed once)."""
         if self.cB <= 0:
             return 0.0
         # dE/dr = 0  =>  r^(m-n) = (m cA) / (n cB)
@@ -215,3 +215,15 @@ def coefficient_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
             n_exp[i, j] = p.n
             hb[i, j] = p.is_hbond
     return cA, cB, n_exp, hb, m_exp
+
+
+@lru_cache(maxsize=None)
+def req_matrix() -> np.ndarray:
+    """Dense (T, T) matrix of :attr:`PairParams.req`, indexed like
+    :func:`coefficient_matrices`."""
+    idx = type_index()
+    req = np.zeros((len(idx), len(idx)))
+    for name_i, i in idx.items():
+        for name_j, j in idx.items():
+            req[i, j] = pair_params(name_i, name_j).req
+    return req

@@ -1,14 +1,17 @@
 """AD4 empirical free-energy scoring.
 
-The intermolecular part reads the AutoGrid maps. For speed the scorer
-collapses, per ligand atom, the three relevant grids into one *per-atom
-map stack*::
+The intermolecular part reads the AutoGrid maps in place. A pose
+evaluation is one vectorized trilinear gather over all ligand atoms —
+the hot path of the Lamarckian GA: each atom reads its type's affinity
+map ``A``, the electrostatic map ``E`` and the desolvation map ``D`` at
+the eight corners of its cell, and each corner is combined into the
+atom's two map values before the blends::
 
-    M_i = affinity[type_i] + W_estat * q_i * E + |q_i| * D
+    A + |q_i| * D        (vdW/H-bond + desolvation)
+    (W_estat * q_i) * E  (electrostatics, kept apart for the breakdown)
 
-so a pose evaluation is a single vectorized trilinear gather over all
-ligand atoms — the hot path of the Lamarckian GA. The intramolecular
-part is a flat pair table (1-4 and beyond) evaluated in one expression.
+The intramolecular part is a flat pair table (1-4 and beyond) evaluated
+in one expression.
 
 The reported FEB follows AD4.2's default ``unbound_model = bound``:
 intermolecular + torsional; the internal-energy *change* only steers the
@@ -18,6 +21,7 @@ search (``docking_energy``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -61,6 +65,21 @@ class AD4Terms:
         return self.intermolecular + self.intramolecular + self.torsional
 
 
+def _combine_corners(
+    abs_q: np.ndarray, w_q: np.ndarray, v: np.ndarray
+) -> np.ndarray:
+    """Corner values ``(A, E, D)`` -> ``(A + |q| D, (w q) E)``, in place.
+
+    Per corner, the values the per-atom maps ``A + |q| D`` and
+    ``(w q) E`` would hold there, rounded the same way.
+    """
+    affinity, elec, desolv = v
+    desolv *= abs_q
+    affinity += desolv
+    elec *= w_q
+    return v[:2]
+
+
 class AD4Scorer:
     """Grid-based AD4 scorer bound to one (receptor maps, ligand) pair."""
 
@@ -84,33 +103,31 @@ class AD4Scorer:
         self.abs_charges = np.abs(self.charges)
         self.torsdof = int(ligand.metadata.get("torsdof", 0))
 
-        # Per-atom collapsed map stacks; electrostatics separate only so
-        # the term breakdown stays reportable. Both are read by one gather.
+        # Each atom reads its type's affinity column, e and d in place.
         n = len(ligand.atoms)
-        stacks = np.empty((2, n, *maps.box.shape))
-        for i, (t, q, aq) in enumerate(zip(self.types, self.charges, self.abs_charges)):
-            stacks[0, i] = maps.affinity[t] + aq * maps.desolvation
-            stacks[1, i] = ff.FE_COEFF_ESTAT * q * maps.electrostatic
-        self._grid = StackGather(maps.box, stacks)
+        n_types = len(maps.map_types)
+        column = {t: k for k, t in enumerate(maps.map_types)}
+        columns = np.empty((3, n), dtype=np.intp)
+        columns[0] = [column[t] for t in self.types]
+        columns[1] = n_types  # electrostatic
+        columns[2] = n_types + 1  # desolvation
+        combine = partial(
+            _combine_corners, self.abs_charges, ff.FE_COEFF_ESTAT * self.charges
+        )
+        self._grid = StackGather(maps.box, maps.planes, columns, combine)
 
-        # Flat intramolecular pair tables.
+        # Flat intramolecular pair tables, looked up by type index.
         pairs = self._nonbonded_pairs(ligand)
         self._pair_i = pairs[:, 0]
         self._pair_j = pairs[:, 1]
-        cA = np.empty(len(pairs))
-        cB = np.empty(len(pairs))
-        is10 = np.zeros(len(pairs), dtype=bool)
-        w = np.empty(len(pairs))
-        req = np.empty(len(pairs))
-        for k, (a, b) in enumerate(pairs):
-            p = ff.pair_params(self.types[a], self.types[b])
-            cA[k], cB[k] = p.cA, p.cB
-            is10[k] = p.n == 10
-            w[k] = ff.FE_COEFF_HBOND if p.is_hbond else ff.FE_COEFF_VDW
-            req[k] = p.req
-        self._pair_cA, self._pair_cB = cA, cB
-        self._pair_is10, self._pair_w = is10, w
-        self._pair_req = req
+        index = ff.type_index()
+        ti = np.array([index[t] for t in self.types], dtype=np.intp)
+        a, b = ti[self._pair_i], ti[self._pair_j]
+        cA, cB, n_exp, hbond, _ = ff.coefficient_matrices()
+        self._pair_cA, self._pair_cB = cA[a, b], cB[a, b]
+        self._pair_is10 = n_exp[a, b] == 10
+        self._pair_w = np.where(hbond[a, b], ff.FE_COEFF_HBOND, ff.FE_COEFF_VDW)
+        self._pair_req = ff.req_matrix()[a, b]
         self._pair_qq = self.charges[self._pair_i] * self.charges[self._pair_j]
 
         # AD4's FEB is a bound-minus-unbound difference: the unbound

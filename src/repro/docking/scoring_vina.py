@@ -22,13 +22,13 @@ conformational-entropy normalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.chem.elements import AUTODOCK_TYPES
 from repro.chem.molecule import Molecule
-from repro.docking.autogrid import StackGather
+from repro.docking.autogrid import MAP_LAYOUT, StackGather, check_layout
 from repro.docking.box import GridBox
 from repro.docking.neighbors import bond_separation_pairs, lattice_blocks
 
@@ -177,27 +177,35 @@ VINA_FF_VERSION = (
 class VinaMaps:
     """Precomputed Vina interaction grids (Vina's internal grid cache).
 
-    ``grids[cls]`` holds, at each box point, the summed weighted Vina
-    terms between a probe atom of that class and every receptor atom —
-    so pose evaluation becomes a trilinear gather exactly like AD4's.
+    ``planes`` is the one ``(points, K)`` array (see
+    :data:`~repro.docking.autogrid.MAP_LAYOUT`) whose column ``k`` holds,
+    at each box point, the summed weighted Vina terms between a probe
+    atom of ``classes[k]`` and every receptor atom — so pose evaluation
+    becomes a trilinear gather exactly like AD4's. ``grids[cls]`` is
+    that column as a ``box.shape`` view.
     """
 
     box: GridBox
-    grids: dict[VinaAtomClass, np.ndarray]
+    planes: np.ndarray
+    classes: tuple[VinaAtomClass, ...]
     receptor_name: str = ""
+    grids: dict[VinaAtomClass, np.ndarray] = field(init=False, repr=False)
 
-
-def _class_key(cls: VinaAtomClass) -> str:
-    return (
-        f"r{cls.radius}_h{int(cls.hydrophobic)}"
-        f"_d{int(cls.donor)}_a{int(cls.acceptor)}"
-    )
+    def __post_init__(self) -> None:
+        self.classes = tuple(self.classes)
+        expected = (int(np.prod(self.box.shape)), len(self.classes))
+        if self.planes.shape != expected:
+            raise VinaScoringError(
+                f"expected planes of shape {expected}, got {self.planes.shape}"
+            )
+        grids = self.planes.reshape(*self.box.shape, len(self.classes))
+        self.grids = {cls: grids[..., k] for k, cls in enumerate(self.classes)}
 
 
 def vina_maps_to_arrays(maps: VinaMaps) -> tuple[dict, dict[str, np.ndarray]]:
     """Flatten a :class:`VinaMaps` into a (meta, named-arrays) bundle."""
-    classes = sorted(maps.grids, key=_class_key)
     meta = {
+        "layout": MAP_LAYOUT,
         "box": maps.box.to_dict(),
         "receptor_name": maps.receptor_name,
         "classes": [
@@ -207,27 +215,28 @@ def vina_maps_to_arrays(maps: VinaMaps) -> tuple[dict, dict[str, np.ndarray]]:
                 "donor": cls.donor,
                 "acceptor": cls.acceptor,
             }
-            for cls in classes
+            for cls in maps.classes
         ],
     }
-    arrays = {f"grid/{_class_key(cls)}": maps.grids[cls] for cls in classes}
-    return meta, arrays
+    return meta, {"planes": maps.planes}
 
 
 def vina_maps_from_arrays(meta: dict, arrays: dict[str, np.ndarray]) -> VinaMaps:
-    """Rebuild a :class:`VinaMaps` from a plane bundle (views kept as-is)."""
-    grids: dict[VinaAtomClass, np.ndarray] = {}
-    for doc in meta["classes"]:
-        cls = VinaAtomClass(
+    """Rebuild a :class:`VinaMaps` from a plane bundle (the array kept as-is)."""
+    check_layout(meta)
+    classes = tuple(
+        VinaAtomClass(
             radius=float(doc["radius"]),
             hydrophobic=bool(doc["hydrophobic"]),
             donor=bool(doc["donor"]),
             acceptor=bool(doc["acceptor"]),
         )
-        grids[cls] = arrays[f"grid/{_class_key(cls)}"]
+        for doc in meta["classes"]
+    )
     return VinaMaps(
         box=GridBox.from_dict(meta["box"]),
-        grids=grids,
+        planes=arrays["planes"],
+        classes=classes,
         receptor_name=meta.get("receptor_name", ""),
     )
 
@@ -256,7 +265,9 @@ def build_vina_maps(
     keep = np.all((rec_coords >= lo) & (rec_coords <= hi), axis=1)
     rec_coords = rec_coords[keep]
     rad, hyd, don, acc = rad[keep], hyd[keep], don[keep], acc[keep]
-    grids = {cls: np.zeros(P) for cls in classes}
+    classes = tuple(dict.fromkeys(classes))
+    column = {cls: k for k, cls in enumerate(classes)}
+    planes = np.zeros((P, len(classes)))
     # Classes of one xs radius share d and the gauss/repulsion base;
     # a class without ramp flags would only add -0.0 ramps to it.
     by_radius: dict[float, list[VinaAtomClass]] = {}
@@ -264,10 +275,10 @@ def build_vina_maps(
         by_radius.setdefault(cls.radius, []).append(cls)
     for start in range(0, rec_coords.shape[0], chunk_atoms):
         stop = start + chunk_atoms
-        # Per-chunk sums, added to in stream (ascending atom) order and
-        # then to the grids: the association of the dense oracle's one
-        # bincount per chunk.
-        chunk_grids = {cls: np.zeros(P) for cls in classes}
+        # Per-chunk sums, one row per class, added to in stream
+        # (ascending atom) order and then to the grids: the association
+        # of the dense oracle's one bincount per chunk.
+        chunk = np.zeros((len(classes), P))
         # In-cutoff (point, atom) pairs only, one cache-sized block at a
         # time, every term evaluated on the block.
         for pi, ci, rv in lattice_blocks(box, rec_coords[start:stop], CUTOFF):
@@ -284,16 +295,12 @@ def build_vina_maps(
                         hydro_pair = cls.hydrophobic & hyd_c
                         hbond_pair = (cls.donor & acc_c) | (cls.acceptor & don_c)
                         e = add_ramp_terms(base, d, hydro_pair, hbond_pair)
-                    np.add.at(chunk_grids[cls], pi, e)
+                    np.add.at(chunk[column[cls]], pi, e)
         # A chunk without pairs adds +0.0, which changes no sum that
         # started at +0.0.
-        for cls, grid in grids.items():
-            grid += chunk_grids[cls]
-    shape = box.shape
+        planes += chunk.T
     return VinaMaps(
-        box=box,
-        grids={cls: g.reshape(shape) for cls, g in grids.items()},
-        receptor_name=receptor.name,
+        box=box, planes=planes, classes=classes, receptor_name=receptor.name
     )
 
 
@@ -301,7 +308,8 @@ class VinaScorer:
     """Vina scorer bound to one (receptor, ligand, box) triple.
 
     When ``maps`` (a :class:`VinaMaps` cache) is supplied, intermolecular
-    evaluation is a per-atom trilinear gather; otherwise the exact
+    evaluation is a per-atom trilinear gather read in place from the
+    maps, and the receptor is not consulted; otherwise the exact
     pairwise sum over the pre-pruned receptor neighborhood is used.
     """
 
@@ -314,6 +322,25 @@ class VinaScorer:
     ) -> None:
         self.box = box
         self.ligand = ligand
+        (
+            self.lig_radii,
+            self.lig_hydro,
+            self.lig_donor,
+            self.lig_acceptor,
+        ) = _type_vectors(ligand)
+        self.n_rot = int(ligand.metadata.get("torsdof", 0))
+        self._entropy_norm = 1.0 + W_ROT * self.n_rot
+        self._intra_pairs = self._intra_pair_table(ligand)
+        ii, jj = self._intra_pairs[:, 0], self._intra_pairs[:, 1]
+        self._intra_hydro = self.lig_hydro[ii] & self.lig_hydro[jj]
+        self._intra_hbond = (self.lig_donor[ii] & self.lig_acceptor[jj]) | (
+            self.lig_acceptor[ii] & self.lig_donor[jj]
+        )
+        self._intra_rsum = self.lig_radii[ii] + self.lig_radii[jj]
+        self._grid: StackGather | None = None
+        if maps is not None:
+            self._grid = self._map_gather(maps)
+            return
         rec_coords = receptor.coords
         rad, hyd, don, acc = _type_vectors(receptor)
         lo = box.minimum - CUTOFF
@@ -327,46 +354,33 @@ class VinaScorer:
         self.rec_hydro = hyd[keep]
         self.rec_donor = don[keep]
         self.rec_acceptor = acc[keep]
-        (
-            self.lig_radii,
-            self.lig_hydro,
-            self.lig_donor,
-            self.lig_acceptor,
-        ) = _type_vectors(ligand)
-        self.n_rot = int(ligand.metadata.get("torsdof", 0))
-        self._entropy_norm = 1.0 + W_ROT * self.n_rot
-        self._intra_pairs = self._intra_pair_table(ligand)
-        # Precomputed pair masks and radius sums (hot-path constants).
+        # Pair masks and radius sums of the pairwise sum (hot-path
+        # constants, ligand x receptor).
         self._inter_hydro = self.lig_hydro[:, None] & self.rec_hydro[None, :]
         self._inter_hbond = (
             self.lig_donor[:, None] & self.rec_acceptor[None, :]
         ) | (self.lig_acceptor[:, None] & self.rec_donor[None, :])
         self._inter_rsum = self.lig_radii[:, None] + self.rec_radii[None, :]
-        ii, jj = self._intra_pairs[:, 0], self._intra_pairs[:, 1]
-        self._intra_hydro = self.lig_hydro[ii] & self.lig_hydro[jj]
-        self._intra_hbond = (self.lig_donor[ii] & self.lig_acceptor[jj]) | (
-            self.lig_acceptor[ii] & self.lig_donor[jj]
-        )
-        self._intra_rsum = self.lig_radii[ii] + self.lig_radii[jj]
-        # Optional grid cache: build the per-atom map stack once.
-        self._grid: StackGather | None = None
-        if maps is not None:
-            if maps.box is not box and not (
-                np.allclose(maps.box.center, box.center)
-                and maps.box.npts == box.npts
-                and maps.box.spacing == box.spacing
-            ):
-                raise VinaScoringError("VinaMaps box does not match the docking box")
-            stacks = []
-            for a in ligand.atoms:
-                cls = atom_class_for(a.autodock_type)
-                grid = maps.grids.get(cls)
-                if grid is None:
-                    raise VinaScoringError(
-                        f"VinaMaps missing class {cls} for atom {a.name}"
-                    )
-                stacks.append(grid)
-            self._grid = StackGather(box, np.stack(stacks)[None])
+
+    def _map_gather(self, maps: VinaMaps) -> StackGather:
+        """The grid term: each atom reads its class's column in place."""
+        box = self.box
+        if maps.box is not box and not (
+            np.allclose(maps.box.center, box.center)
+            and maps.box.npts == box.npts
+            and maps.box.spacing == box.spacing
+        ):
+            raise VinaScoringError("VinaMaps box does not match the docking box")
+        column = {cls: k for k, cls in enumerate(maps.classes)}
+        columns = []
+        for a in self.ligand.atoms:
+            cls = atom_class_for(a.autodock_type)
+            if cls not in column:
+                raise VinaScoringError(
+                    f"VinaMaps missing class {cls} for atom {a.name}"
+                )
+            columns.append(column[cls])
+        return StackGather(box, maps.planes, [columns])
 
     @staticmethod
     def _intra_pair_table(mol: Molecule) -> np.ndarray:

@@ -4,7 +4,9 @@ These are the original analytic AutoGrid and Vina map loops, kept
 verbatim: every ``(grid point, receptor atom)`` distance is computed
 from a ``(P points x C atoms x 3)`` broadcast and the in-cutoff pairs are
 accumulated per ``(type group, chunk_atoms)`` block with ``np.bincount``.
-The production builders must reproduce these maps bit for bit.
+The production builders must reproduce these maps bit for bit. Only the
+packaging follows the production one: the finished maps are stacked
+into the ``(points, K)`` planes array the map bundles carry.
 """
 
 from __future__ import annotations
@@ -122,9 +124,8 @@ class DenseAutoGrid(AutoGrid):
                     )
                     grid += np.bincount(pi, weights=e, minlength=P)
 
-        return self._package(
-            box, receptor, affinity, electro, desolv, N, started
-        )
+        planes = np.stack([*affinity.values(), electro, desolv], axis=1)
+        return self._package(box, receptor, tuple(affinity), planes, N, started)
 
 
 def dense_build_vina_maps(
@@ -164,9 +165,9 @@ def dense_build_vina_maps(
             hbond_pair = (cls.donor & acc_c) | (cls.acceptor & don_c)
             e = dense_pairwise_terms(d, hydro_pair, hbond_pair)
             grid += np.bincount(pi, weights=e, minlength=P)
-    shape = box.shape
     return VinaMaps(
         box=box,
-        grids={cls: g.reshape(shape) for cls, g in grids.items()},
+        planes=np.stack(list(grids.values()), axis=1),
+        classes=tuple(grids),
         receptor_name=receptor.name,
     )

@@ -9,8 +9,13 @@ bodies (per-corner fancy indexing, one call per stack), kept verbatim
 apart from ``self`` becoming an argument. The production kernels must
 reproduce them bit for bit.
 
-:class:`OracleStackGather` puts the two gather bodies behind the
-``StackGather`` interface so a whole dock can run on the oracle.
+:class:`OracleStackGather` puts the two gather bodies behind a
+``(box, stacks)`` interface. The per-atom map stacks they read are built
+by ``ad4_stacks``/``vina_stack``, the scorers' original setup (two full
+grids per AD4 atom, one per Vina atom), and :class:`OracleAD4Scorer` and
+:class:`OracleVinaScorer` score through them, so a whole dock can run
+on the oracle. ``ad4_pair_tables`` is the original per-pair loop that
+built ``AD4Scorer``'s intramolecular tables.
 
 The sequential searches follow: ``LamarckianGA`` with its one-run
 ``run`` loop, ``solis_wets`` scoring through the objective itself,
@@ -34,7 +39,9 @@ import numpy as np
 
 from repro.chem.geometry import rmsd
 from repro.chem.torsions import TorsionTree
+from repro.docking import forcefield as ff
 from repro.docking.autodock import AutoDock4
+from repro.docking.autogrid import GridMaps
 from repro.docking.box import GridBox
 from repro.docking.clustering import cluster_poses
 from repro.docking.conformation import Conformation, DockingResult, Pose
@@ -49,7 +56,7 @@ from repro.docking.objective import (
 )
 from repro.docking.prepare import LigandPreparation
 from repro.docking.scoring_ad4 import AD4Scorer
-from repro.docking.scoring_vina import VinaScorer
+from repro.docking.scoring_vina import VinaMaps, VinaScorer, atom_class_for
 from repro.docking.vina import Vina
 
 Objective = Callable[[np.ndarray], float]
@@ -210,7 +217,7 @@ def vina_gather_batch(
 
 
 class OracleStackGather:
-    """The ``StackGather`` interface over the original gather bodies.
+    """The original ``StackGather(box, stacks)`` over the gather bodies.
 
     A two-stack set is an AD4 scorer (affinity, electrostatic stacks),
     a one-stack set a Vina scorer; each stack is gathered by its own
@@ -226,6 +233,65 @@ class OracleStackGather:
         return np.stack(
             [self.body(self.box, stack, coords) for stack in self.stacks]
         )
+
+
+def ad4_stacks(maps: GridMaps, scorer: AD4Scorer) -> np.ndarray:
+    """``AD4Scorer.__init__``'s per-atom map stacks ``(2, n_atoms, *shape)``.
+
+    Per ligand atom, the affinity map of its type plus ``|q|`` times the
+    desolvation map, and the weighted electrostatic map.
+    """
+    n = len(scorer.types)
+    stacks = np.empty((2, n, *maps.box.shape))
+    for i, (t, q, aq) in enumerate(zip(scorer.types, scorer.charges, scorer.abs_charges)):
+        stacks[0, i] = maps.affinity[t] + aq * maps.desolvation
+        stacks[1, i] = ff.FE_COEFF_ESTAT * q * maps.electrostatic
+    return stacks
+
+
+def vina_stack(maps: VinaMaps, ligand) -> np.ndarray:
+    """``VinaScorer.__init__``'s per-atom class grids ``(1, n_atoms, *shape)``."""
+    stacks = []
+    for a in ligand.atoms:
+        cls = atom_class_for(a.autodock_type)
+        grid = maps.grids.get(cls)
+        if grid is None:
+            raise ValueError(f"VinaMaps missing class {cls} for atom {a.name}")
+        stacks.append(grid)
+    return np.stack(stacks)[None]
+
+
+def ad4_pair_tables(types: list[str], pairs: np.ndarray) -> dict[str, np.ndarray]:
+    """``AD4Scorer.__init__``'s intramolecular tables, one pair at a time."""
+    cA = np.empty(len(pairs))
+    cB = np.empty(len(pairs))
+    is10 = np.zeros(len(pairs), dtype=bool)
+    w = np.empty(len(pairs))
+    req = np.empty(len(pairs))
+    for k, (a, b) in enumerate(pairs):
+        p = ff.pair_params(types[a], types[b])
+        cA[k], cB[k] = p.cA, p.cB
+        is10[k] = p.n == 10
+        w[k] = ff.FE_COEFF_HBOND if p.is_hbond else ff.FE_COEFF_VDW
+        req[k] = p.req
+    return {"cA": cA, "cB": cB, "is10": is10, "w": w, "req": req}
+
+
+class OracleAD4Scorer(AD4Scorer):
+    """``AD4Scorer`` whose grid term gathers from :func:`ad4_stacks`."""
+
+    def __init__(self, maps: GridMaps, ligand) -> None:
+        super().__init__(maps, ligand)
+        self._grid = OracleStackGather(maps.box, ad4_stacks(maps, self))
+
+
+class OracleVinaScorer(VinaScorer):
+    """``VinaScorer`` whose grid term gathers from :func:`vina_stack`."""
+
+    def __init__(self, receptor, ligand, box: GridBox, maps: VinaMaps | None = None) -> None:
+        super().__init__(receptor, ligand, box, maps=maps)
+        if maps is not None:
+            self._grid = OracleStackGather(box, vina_stack(maps, ligand))
 
 
 def solis_wets(

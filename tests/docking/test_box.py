@@ -35,9 +35,13 @@ class TestGridBox:
         box = GridBox(center=[0, 0, 0], npts=(2, 2, 2), spacing=1.0)
         pts = box.points()
         assert pts.shape == (27, 3)
-        # x-fastest ordering under meshgrid 'ij' + ravel: z varies fastest.
+        # meshgrid 'ij' + ravel: z varies fastest, so (ix, iy, iz) is
+        # row (ix * ny + iy) * nz + iz.
         assert np.allclose(pts[0], box.minimum)
         assert np.allclose(pts[-1], box.maximum)
+        assert np.allclose(pts[1] - pts[0], [0.0, 0.0, 1.0])
+        ix, iy, iz = 1, 2, 0
+        assert np.allclose(pts[(ix * 3 + iy) * 3 + iz], box.minimum + [ix, iy, iz])
 
     def test_axes_span_box(self):
         box = GridBox(center=[0, 0, 0], npts=(4, 4, 4), spacing=0.5)

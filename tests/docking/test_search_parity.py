@@ -2,8 +2,9 @@
 
 Posing (``TorsionTree.pose_batch`` on a compiled branch plan, the
 outer-product Rodrigues matrices) and the grid gather (one
-``StackGather`` shared by AD4 and Vina) must equal the originals kept
-in :mod:`.search_oracle` exactly — ``np.array_equal``, never a
+``StackGather`` shared by AD4 and Vina, reading the receptor's maps in
+place) must equal the originals kept in :mod:`.search_oracle`, which
+gather from per-atom map stacks, exactly — ``np.array_equal``, never a
 tolerance — so FEB, RMSD and evaluation counts of every dock stay
 where they were.
 """
@@ -17,17 +18,13 @@ from repro.chem.geometry import (
     rotation_about_axis_batch,
 )
 from repro.chem.torsions import TorsionTree
+from repro.core.activities import STANDARD_MAP_TYPES
 from repro.core.scidock import FAST_AD4, FAST_VINA
-from repro.docking import forcefield as ff
 from repro.docking.autodock import AutoDock4
-from repro.docking.autogrid import StackGather
+from repro.docking.autogrid import AutoGrid, StackGather
 from repro.docking.prepare import prepare_ligand
 from repro.docking.scoring_ad4 import AD4Scorer
-from repro.docking.scoring_vina import (
-    VinaScorer,
-    atom_class_for,
-    build_vina_maps,
-)
+from repro.docking.scoring_vina import VinaScorer, build_vina_maps
 from repro.docking.vina import Vina
 
 from . import search_oracle as oracle
@@ -37,8 +34,18 @@ LIGANDS = ("042", "074", "0D6", "0E6")
 
 
 @pytest.fixture(scope="module")
-def trees():
-    return {name: prepare_ligand(generate_ligand(name)).tree for name in LIGANDS}
+def trees(prepared_ligands):
+    return {name: prep.tree for name, prep in prepared_ligands.items()}
+
+
+@pytest.fixture(scope="module")
+def prepared_ligands():
+    return {name: prepare_ligand(generate_ligand(name)) for name in LIGANDS}
+
+
+@pytest.fixture(scope="module")
+def std_maps(prepared_receptor, pocket_box):
+    return AutoGrid().run(prepared_receptor.molecule, pocket_box, STANDARD_MAP_TYPES)
 
 
 @pytest.fixture(scope="module")
@@ -167,24 +174,16 @@ def _pose_cloud(box, n_atoms, P, rng):
     return coords
 
 
-def _ad4_stacks(maps, scorer):
-    """The per-atom stacks exactly as ``AD4Scorer`` used to build them."""
-    n = len(scorer.types)
-    affinity = np.empty((n, *maps.box.shape))
-    elec = np.empty((n, *maps.box.shape))
-    for i, (t, q, aq) in enumerate(
-        zip(scorer.types, scorer.charges, scorer.abs_charges)
-    ):
-        affinity[i] = maps.affinity[t] + aq * maps.desolvation
-        elec[i] = ff.FE_COEFF_ESTAT * q * maps.electrostatic
-    return affinity, elec
+#: Batch sizes of the energy parity checks: one pose, a Solis-Wets
+#: pair, a small probe set and a GA population.
+ENERGY_BATCHES = (1, 2, 16, 150)
 
 
 class TestStackGather:
     @pytest.mark.parametrize("P", BATCH_SIZES)
     def test_ad4_stacks_match_oracle(self, grid_maps, prepared_ligand, P):
         scorer = AD4Scorer(grid_maps, prepared_ligand.molecule)
-        affinity, elec = _ad4_stacks(grid_maps, scorer)
+        affinity, elec = oracle.ad4_stacks(grid_maps, scorer)
         rng = np.random.default_rng(P)
         box = grid_maps.box
         for _ in range(5):
@@ -200,9 +199,7 @@ class TestStackGather:
     ):
         lig = prepared_ligand.molecule
         scorer = VinaScorer(prepared_receptor.molecule, lig, pocket_box, maps=vina_maps)
-        stack = np.stack(
-            [vina_maps.grids[atom_class_for(a.autodock_type)] for a in lig.atoms]
-        )
+        stack = oracle.vina_stack(vina_maps, lig)[0]
         rng = np.random.default_rng(P)
         for _ in range(5):
             coords = _pose_cloud(pocket_box, len(lig.atoms), P, rng)
@@ -215,22 +212,30 @@ class TestStackGather:
         stack = grid_maps.electrostatic[None]
         rng = np.random.default_rng(1)
         coords = _pose_cloud(box, 1, 24, rng)
-        new = StackGather(box, stack[None])(coords)[0]
+        e_column = len(grid_maps.map_types)
+        new = StackGather(box, grid_maps.planes, [[e_column]])(coords)[0]
         assert np.array_equal(new, oracle.vina_gather_batch(box, stack, coords))
 
     def test_rejects_stacks_off_the_box(self, grid_maps):
         with pytest.raises(ValueError):
-            StackGather(grid_maps.box, grid_maps.electrostatic[None, None, 1:])
+            StackGather(grid_maps.box, grid_maps.planes[1:], [[0]])
+        with pytest.raises(ValueError):
+            StackGather(grid_maps.box, grid_maps.planes, [[grid_maps.planes.shape[1]]])
+        with pytest.raises(ValueError):  # a copy-forcing view is refused
+            StackGather(grid_maps.box, grid_maps.planes[:, ::-1], [[0]])
 
-    def test_ad4_scorer_entry_points_match_oracle(
-        self, grid_maps, prepared_ligand, monkeypatch
-    ):
+    def test_reads_the_maps_in_place(self, grid_maps, prepared_ligand, vina_maps):
+        scorer = AD4Scorer(grid_maps, prepared_ligand.molecule)
+        assert np.shares_memory(scorer._grid._flat, grid_maps.planes)
+        for grid in (*grid_maps.affinity.values(), grid_maps.electrostatic):
+            assert np.shares_memory(grid, grid_maps.planes)
+        for grid in vina_maps.grids.values():
+            assert np.shares_memory(grid, vina_maps.planes)
+
+    def test_ad4_scorer_entry_points_match_oracle(self, grid_maps, prepared_ligand):
         lig = prepared_ligand.molecule
         new = AD4Scorer(grid_maps, lig)
-        monkeypatch.setattr(
-            "repro.docking.scoring_ad4.StackGather", oracle.OracleStackGather
-        )
-        old = AD4Scorer(grid_maps, lig)
+        old = oracle.OracleAD4Scorer(grid_maps, lig)
         rng = np.random.default_rng(5)
         coords = _pose_cloud(grid_maps.box, len(lig.atoms), 24, rng)
         assert np.array_equal(
@@ -241,6 +246,55 @@ class TestStackGather:
         for pose in coords[:4]:
             assert new.docking_energy(pose) == old.docking_energy(pose)
             assert new.score(pose) == old.score(pose)
+
+
+class TestEnergiesMatchOracle:
+    """Whole-scorer energies against the per-atom-stack oracle scorers."""
+
+    @pytest.mark.parametrize("P", ENERGY_BATCHES)
+    @pytest.mark.parametrize("name", LIGANDS)
+    def test_ad4(self, std_maps, prepared_ligands, name, P):
+        lig = prepared_ligands[name].molecule
+        new = AD4Scorer(std_maps, lig)
+        old = oracle.OracleAD4Scorer(std_maps, lig)
+        rng = np.random.default_rng(P)
+        for _ in range(3):
+            coords = _pose_cloud(std_maps.box, len(lig.atoms), P, rng)
+            assert np.array_equal(
+                new.docking_energy_batch(coords), old.docking_energy_batch(coords)
+            )
+            assert np.array_equal(new.total_batch(coords), old.total_batch(coords))
+            assert new.score_batch(coords) == old.score_batch(coords)
+
+    @pytest.mark.parametrize("P", ENERGY_BATCHES)
+    @pytest.mark.parametrize("name", LIGANDS)
+    def test_vina(
+        self, prepared_receptor, pocket_box, vina_maps, prepared_ligands, name, P
+    ):
+        lig = prepared_ligands[name].molecule
+        rec = prepared_receptor.molecule
+        new = VinaScorer(rec, lig, pocket_box, maps=vina_maps)
+        old = oracle.OracleVinaScorer(rec, lig, pocket_box, maps=vina_maps)
+        rng = np.random.default_rng(P)
+        for _ in range(3):
+            coords = _pose_cloud(pocket_box, len(lig.atoms), P, rng)
+            assert np.array_equal(
+                new.search_energy_batch(coords), old.search_energy_batch(coords)
+            )
+            assert np.array_equal(new.total_batch(coords), old.total_batch(coords))
+
+    @pytest.mark.parametrize("name", LIGANDS)
+    def test_pair_tables_match_the_loop(self, std_maps, prepared_ligands, name):
+        scorer = AD4Scorer(std_maps, prepared_ligands[name].molecule)
+        pairs = np.stack([scorer._pair_i, scorer._pair_j], axis=1)
+        old = oracle.ad4_pair_tables(scorer.types, pairs)
+        for key, got in (
+            ("cA", scorer._pair_cA), ("cB", scorer._pair_cB),
+            ("is10", scorer._pair_is10), ("w", scorer._pair_w),
+            ("req", scorer._pair_req),
+        ):
+            assert got.dtype == old[key].dtype, key
+            assert np.array_equal(got, old[key]), key
 
 
 def _assert_same_dock(a, b):
@@ -254,12 +308,8 @@ def _assert_same_dock(a, b):
 
 def _patch_oracle(monkeypatch):
     monkeypatch.setattr(TorsionTree, "pose_batch", oracle.pose_batch)
-    monkeypatch.setattr(
-        "repro.docking.scoring_ad4.StackGather", oracle.OracleStackGather
-    )
-    monkeypatch.setattr(
-        "repro.docking.scoring_vina.StackGather", oracle.OracleStackGather
-    )
+    monkeypatch.setattr("repro.docking.autodock.AD4Scorer", oracle.OracleAD4Scorer)
+    monkeypatch.setattr("repro.docking.vina.VinaScorer", oracle.OracleVinaScorer)
 
 
 class TestFullDocks:
